@@ -31,6 +31,7 @@ from .evolution import (
     JointBranch,
     JointState,
     MeterAttachment,
+    PathSum,
     PostselectResult,
     apply_measurement,
     arm_occupation,

@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weaktrace",
         description="Nested Mach-Zehnder weak-trace simulator: weak values vs weak mean values.",
     )
-    default_seed = int(os.environ.get("WEAKTRACE_SEED", "0"))
+    # a string default goes through type=int only when --seed is absent, so a
+    # malformed WEAKTRACE_SEED is a usage error (exit 2) at parse time
+    default_seed = os.environ.get("WEAKTRACE_SEED", "0")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MeterAttachment, arm_occupation, postselect, run_pipeline
+from .evolution import MeterAttachment, PathSum, arm_occupation, postselect, run_pipeline
 from .meter import MeterConfig, NoPostselectedEventsError, sample_with_rng
 from .paths import (
     ARM_FIRST_STAGE,
     Circuit,
     PhotonState,
+    _check_detector,
     apply_beamsplitter,
     apply_beamsplitter_inverse,
     build_nested_mzi,
@@ -163,9 +164,10 @@ def weak_value_operational(
 ) -> WeakValueRecord:
     """Pointer-mean readout of the weak value over a decreasing g sweep.
 
-    For every g the full joint pipeline runs, the detector postselects, and
-    the conditional pointer mean divided by g is recorded; the g -> 0 limit
-    is extrapolated in g^2 from the three smallest couplings.
+    The whole sweep is one batch of the compiled path sum: per g, the
+    detector postselects and the conditional pointer mean divided by g is
+    recorded; the g -> 0 limit is extrapolated in g^2 from the three
+    smallest couplings.
     """
     g_list = [float(g) for g in g_list]
     if not g_list or any(g <= 0 for g in g_list):
@@ -174,16 +176,16 @@ def weak_value_operational(
         raise ValueError("g sweep must be strictly decreasing")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    config = MeterConfig(delta)
-    estimates = []
-    for g in g_list:
-        js = run_pipeline(circuit, in_state, [MeterAttachment("probe", arm, g, config)])
-        sel = postselect(js, detector)
-        if sel.probability <= 1e-30:
+    _check_detector(detector)
+    layout = [MeterAttachment("probe", arm, g_list[0], MeterConfig(delta))]
+    paths = PathSum.compile(circuit, in_state, layout)
+    prob, moment = paths.statistics([[g] for g in g_list], (detector,))[detector]
+    for g, p in zip(g_list, prob):
+        if p <= 1e-30:
             raise NoPostselectedEventsError(
                 f"postselection on {detector} has zero probability at g={g}"
             )
-        estimates.append((g, sel.pointer_mean("probe") / g))
+    estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment[:, 0])]
     limit = extrapolate_even_limit(*zip(*estimates))
     analytic = weak_value_analytic(arm, in_state, detector, circuit)
     return WeakValueRecord(arm, "N", detector, analytic, tuple(estimates), limit)
@@ -302,7 +304,7 @@ class DiscontinuityReport:
 
     @property
     def discontinuous(self) -> bool:
-        return (
+        return bool(
             all(r.e_occupation > 0.0 for r in self.rows)
             and self.zero_row.e_occupation == 0.0
             and abs(self.extrapolated_weak_value) > 1e-9
@@ -362,7 +364,7 @@ def discontinuity_report(
     shifted = [b for b in sel.branches if abs(b.shifts[0] - g_probe) < 1e-12]
     via_e = _b_route_amplitude_via_e(circuit, in_state)
     coupled = sum(b.coefficient for b in shifted)
-    b_signal_via_e = abs(coupled - via_e) < 1e-12
+    b_signal_via_e = bool(abs(coupled - via_e) < 1e-12)
 
     return DiscontinuityReport(
         delta=delta,

@@ -2,11 +2,14 @@
 
 Mirrors M1 (arm A), M2 (arm B) and M3 (arm C) oscillate at distinct
 frequencies and all kick the same transverse-deviation pointer, so the
-coupling on arm i at time t is g_i(t) = g0 * sin(2 pi f_i t). Each time
-sample is an independent static run of the joint pipeline (quasi-static:
-photon transit is instantaneous on the vibration timescale); per detector
-the arrival probability and the conditional pointer mean are recorded,
-and power spectra identify which mirror frequencies show up where.
+coupling on arm i at time t is g_i(t) = g0 * sin(2 pi f_i t). Sampling is
+quasi-static (photon transit is instantaneous on the vibration timescale),
+so each time sample is an independent static setup with its own coupling
+vector. The layout is the same at every sample, so the interferometer is
+compiled once into a path sum and all samples are evaluated as one batch
+of coupling vectors; per detector the arrival probability and the
+conditional pointer mean are recorded, and power spectra identify which
+mirror frequencies show up where.
 
 Two readout modes are compared. Weak-value mode reads the conditional
 pointer mean at D2: every enabled mirror leaves a line there, with
@@ -24,13 +27,14 @@ as diagnostics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import MeterAttachment, postselect, run_pipeline
+from .evolution import MeterAttachment, PathSum
 from .meter import MeterConfig
-from .paths import Circuit, PhotonState, build_nested_mzi
+from .paths import DETECTORS, Circuit, PhotonState, build_nested_mzi
 
 #: Pooled outer-port pseudo-detector name used in series keys.
 OUTER = "outer"
@@ -51,8 +55,10 @@ class Mirror:
     def __post_init__(self) -> None:
         if self.arm not in ("A", "B", "C"):
             raise ValueError(f"mirror {self.name}: arm must be A, B or C, got {self.arm!r}")
-        if self.frequency <= 0:
-            raise ValueError(f"mirror {self.name}: frequency must be positive")
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError(f"mirror {self.name}: frequency must be positive and finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"mirror {self.name}: amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,9 @@ def simulate_traces(
     """Quasi-static run of the vibrating-mirror setup.
 
     At each sample the enabled mirrors set couplings g_i(t) on their arms,
-    all feeding one shared pointer; the static pipeline then yields, per
-    detector, the arrival probability and conditional pointer mean, plus
-    the pooled outer-port pair of series.
+    all feeding one shared pointer; one batched evaluation of the compiled
+    path sum then yields, per detector and sample, the arrival probability
+    and conditional pointer mean, plus the pooled outer-port pair of series.
     """
     circuit = build_nested_mzi() if circuit is None else circuit
     mirrors = schedule.enabled()
@@ -146,31 +152,29 @@ def simulate_traces(
         raise ValueError("duration * sample_rate must be an integer of at least 16")
     times = np.arange(n) / sample_rate
     config = MeterConfig(delta)
-    source = PhotonState.source()
+    layout = [MeterAttachment("y", m.arm, m.amplitude, config) for m in mirrors]
+    paths = PathSum.compile(circuit, PhotonState.source(), layout)
+    couplings = np.array(
+        [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
+    ).reshape(len(mirrors), n).T
+    stats = paths.statistics(couplings, DETECTORS)
 
-    keys = [f"{d}_{kind}" for d in ("D1", "D2", "D3", OUTER) for kind in ("mean", "prob")]
-    series = {k: np.zeros(n) for k in keys}
-    for j, t in enumerate(times):
-        attachments = [
-            MeterAttachment("y", m.arm, m.amplitude * np.sin(2.0 * np.pi * m.frequency * t), config)
-            for m in mirrors
-        ]
-        js = run_pipeline(circuit, source, attachments)
-        moments = {}
-        for det in ("D1", "D2", "D3"):
-            sel = postselect(js, det)
-            prob = sel.probability
-            if mirrors and prob > 1e-30:
-                moment = js.component_moment(det, 0)
-            else:
-                moment = 0.0
-            moments[det] = (prob, moment)
-            series[f"{det}_prob"][j] = prob
-            series[f"{det}_mean"][j] = moment / prob if prob > 1e-30 else 0.0
-        p_outer = moments["D1"][0] + moments["D2"][0]
-        m_outer = moments["D1"][1] + moments["D2"][1]
-        series[f"{OUTER}_prob"][j] = p_outer
-        series[f"{OUTER}_mean"][j] = m_outer / p_outer if p_outer > 1e-30 else 0.0
+    series = {}
+    outer_prob = np.zeros(n)
+    outer_moment = np.zeros(n)
+    for det in DETECTORS:
+        prob, moment = stats[det]
+        seen = prob > 1e-30
+        moment = np.where(seen, moment[:, 0], 0.0) if mirrors else np.zeros(n)
+        series[f"{det}_mean"] = np.divide(moment, prob, out=np.zeros(n), where=seen)
+        series[f"{det}_prob"] = prob
+        if det != "D3":
+            outer_prob += prob
+            outer_moment += moment
+    series[f"{OUTER}_mean"] = np.divide(
+        outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > 1e-30
+    )
+    series[f"{OUTER}_prob"] = outer_prob
 
     spectra = {k: power_spectrum(v, sample_rate) for k, v in series.items()}
     return TraceResult(times, sample_rate, series, spectra)

@@ -1,19 +1,35 @@
 """Joint photon-meter evolution through the interferometer, exact in g.
 
 A coupling exp(-i g Pi_arm x P_M) shifts the meter attached to one arm's
-component rigidly by g and leaves every other component alone, so the
-joint state stays a per-arm list of Gaussian branches, each carrying one
-accumulated shift per meter. Beamsplitters mix those branch lists
-linearly. No weak-coupling expansion is made anywhere; "weak" enters only
-when a caller chooses a small g.
+component rigidly by g and leaves every other component alone. Following
+one photon path through the stages, its amplitude is the input amplitude
+times the beamsplitter entries it picks up, and each meter ends shifted
+by the sum of the couplings the path crosses. The joint state is
+therefore a finite path sum: per final arm, sum_p c_p |arm> x |G_{s_p}>.
+No weak-coupling expansion is made anywhere; "weak" enters only when a
+caller chooses a small g.
+
+``PathSum.compile`` builds that sum once per circuit, input state,
+attachment layout and stage count: the paths (at most 2^4 here), their
+final arms and amplitudes, and a path x attachment incidence matrix. The
+couplings enter only at evaluation, as a batch G of coupling vectors (one
+row per set of g values, one column per attachment), so a whole g-sweep or
+every quasi-static sample of a vibrating-mirror trace is one evaluation.
+Path shifts are G times the incidence rows; probabilities and pointer
+moments come from the closed-form Gram sums of ``meter.gram_sums``. Paths
+that end in the same arm with exactly equal shifts over the batch are
+merged by summing their amplitudes, and exact cancellations drop out, so
+the undisturbed dark port stays exactly empty.
 
 Several attachments may share a ``meter_id``: they then kick the same
 pointer (the shared transverse-deviation meter of the vibrating-mirror
 realization), with shifts adding up along each photon path.
+``run_pipeline`` is the batch-of-one view that returns a ``JointState``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,19 +40,18 @@ from .meter import (
     MeterWave,
     NoPostselectedEventsError,
     SHIFT_MERGE_TOL,
-    branch_overlap,
+    gram_sums,
     wave_norm2,
 )
 from .paths import (
     ARM_FIRST_STAGE,
     ARM_LAST_STAGE,
     ATOL,
-    BeamSplitter,
     Circuit,
-    DETECTORS,
     PhotonState,
     PipelineError,
     _check_arm,
+    _check_detector,
 )
 
 
@@ -61,6 +76,8 @@ class MeterAttachment:
 
     def __post_init__(self) -> None:
         _check_arm(self.arm)
+        if not math.isfinite(self.g):
+            raise ValueError(f"coupling g must be finite, got {self.g}")
 
     @property
     def insertion_stage(self) -> int:
@@ -77,6 +94,15 @@ class MeterAttachment:
             )
 
 
+def _meter_slot(meter_ids, configs, att: MeterAttachment) -> int:
+    if att.meter_id not in meter_ids:
+        raise ValueError(f"meter {att.meter_id!r} has no slot in this state")
+    slot = meter_ids.index(att.meter_id)
+    if configs[slot].delta != att.config.delta:
+        raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
+    return slot
+
+
 @dataclass(frozen=True)
 class JointBranch:
     """Complex coefficient with one accumulated pointer shift per meter."""
@@ -85,24 +111,20 @@ class JointBranch:
     shifts: tuple[float, ...]
 
 
-def _merge_joint(branches) -> tuple[JointBranch, ...]:
-    merged: list[JointBranch] = []
-    for b in branches:
-        for i, m in enumerate(merged):
-            if len(b.shifts) == len(m.shifts) and all(
-                abs(x - y) < SHIFT_MERGE_TOL for x, y in zip(b.shifts, m.shifts)
-            ):
-                merged[i] = JointBranch(m.coefficient + b.coefficient, m.shifts)
-                break
-        else:
-            merged.append(b)
-    # exact cancellations (destructive interference) leave no branch behind
-    return tuple(b for b in merged if b.coefficient != 0)
+def _branch_gram(branches, configs) -> tuple[float, np.ndarray]:
+    """Squared norm and un-normalized pointer moments (one per meter)."""
+    shifts = np.array([b.shifts for b in branches], dtype=float)
+    norm2, moment = gram_sums(
+        [b.coefficient for b in branches],
+        shifts.reshape(len(branches), 1, len(configs)),
+        [cfg.delta for cfg in configs],
+    )
+    return float(norm2[0]), moment[0]
 
 
 @dataclass(frozen=True)
 class JointState:
-    """Entangled photon-meter state: per arm, a merged set of joint branches."""
+    """Entangled photon-meter state: per arm, its joint branches."""
 
     components: dict[str, tuple[JointBranch, ...]]
     meter_ids: tuple[str, ...]
@@ -125,31 +147,12 @@ class JointState:
         }
         return cls(comps, tuple(meter_ids), tuple(configs), stage)
 
-    def _pair_weight(self, bi: JointBranch, bj: JointBranch) -> complex:
-        w = bi.coefficient.conjugate() * bj.coefficient
-        for s_i, s_j, cfg in zip(bi.shifts, bj.shifts, self.configs):
-            w *= branch_overlap(s_i, s_j, cfg.delta)
-        return w
-
     def component_norm2(self, arm: str) -> float:
-        branches = self.components.get(_check_arm(arm), ())
-        total = 0.0
-        for i, bi in enumerate(branches):
-            total += abs(bi.coefficient) ** 2
-            for bj in branches[i + 1:]:
-                total += 2.0 * self._pair_weight(bi, bj).real
-        return total
+        return _branch_gram(self.components.get(_check_arm(arm), ()), self.configs)[0]
 
     def component_moment(self, arm: str, slot: int) -> float:
         """Un-normalized <Q_slot> contribution of one arm's component."""
-        branches = self.components.get(arm, ())
-        total = 0.0
-        for i, bi in enumerate(branches):
-            total += abs(bi.coefficient) ** 2 * bi.shifts[slot]
-            for bj in branches[i + 1:]:
-                mid = 0.5 * (bi.shifts[slot] + bj.shifts[slot])
-                total += 2.0 * mid * self._pair_weight(bi, bj).real
-        return total
+        return float(_branch_gram(self.components.get(arm, ()), self.configs)[1][slot])
 
     def norm2(self) -> float:
         return sum(self.component_norm2(arm) for arm in self.components)
@@ -157,39 +160,26 @@ class JointState:
     def pointer_mean(self, meter_id: str) -> float:
         """Unconditional pointer mean of one meter, all photon outcomes kept."""
         slot = self.meter_ids.index(meter_id)
-        n2 = self.norm2()
+        grams = [_branch_gram(b, self.configs) for b in self.components.values()]
+        n2 = sum(n for n, _ in grams)
         if n2 <= 1e-30:
             raise NoPostselectedEventsError("state has zero norm")
-        return sum(self.component_moment(a, slot) for a in self.components) / n2
-
-
-def _with_meter(js: JointState, meter_id: str, config: MeterConfig) -> JointState:
-    """Register a new meter slot (shift 0 everywhere) if not already present."""
-    if meter_id in js.meter_ids:
-        slot = js.meter_ids.index(meter_id)
-        if js.configs[slot].delta != config.delta:
-            raise ValueError(f"meter {meter_id!r} attached twice with different delta")
-        return js
-    comps = {
-        arm: tuple(JointBranch(b.coefficient, b.shifts + (0.0,)) for b in branches)
-        for arm, branches in js.components.items()
-    }
-    return JointState(comps, js.meter_ids + (meter_id,), js.configs + (config,), js.stage)
+        return sum(float(m[slot]) for _, m in grams) / n2
 
 
 def apply_measurement(js: JointState, att: MeterAttachment) -> JointState:
     """Shift the meter branch displacements on the attachment's arm by g.
 
     Exact in g: the target arm's component is translated rigidly, every
-    other component is untouched.
+    other component is untouched. The meter must already have a slot in
+    ``js`` (see ``JointState.from_photon``) with the same delta.
     """
     if not ARM_FIRST_STAGE[att.arm] <= js.stage <= ARM_LAST_STAGE[att.arm]:
         raise ValueError(f"arm {att.arm} is not live at stage {js.stage}")
-    js = _with_meter(js, att.meter_id, att.config)
-    slot = js.meter_ids.index(att.meter_id)
+    slot = _meter_slot(js.meter_ids, js.configs, att)
     comps = dict(js.components)
     if att.arm in comps:
-        comps[att.arm] = _merge_joint(
+        comps[att.arm] = tuple(
             JointBranch(
                 b.coefficient,
                 b.shifts[:slot] + (b.shifts[slot] + att.g,) + b.shifts[slot + 1:],
@@ -199,27 +189,133 @@ def apply_measurement(js: JointState, att: MeterAttachment) -> JointState:
     return JointState(comps, js.meter_ids, js.configs, js.stage)
 
 
-def _apply_stage(js: JointState, bs: BeamSplitter) -> JointState:
-    for arm in bs.outputs:
-        if js.component_norm2(arm) > ATOL:
-            raise PipelineError(
-                f"BS{bs.ident}: nonzero amplitude already present on output port {arm}"
-            )
-    m = bs.amplitude_matrix
-    in1 = js.components.get(bs.inputs[0], ())
-    in2 = js.components.get(bs.inputs[1], ())
-    comps = {
-        arm: branches
-        for arm, branches in js.components.items()
-        if arm not in bs.inputs and arm not in bs.outputs
-    }
-    for row, out in enumerate(bs.outputs):
-        mixed = [JointBranch(m[row, 0] * b.coefficient, b.shifts) for b in in1]
-        mixed += [JointBranch(m[row, 1] * b.coefficient, b.shifts) for b in in2]
-        merged = _merge_joint(mixed)
-        if merged:
-            comps[out] = merged
-    return JointState(comps, js.meter_ids, js.configs, js.stage + 1)
+@dataclass(frozen=True)
+class PathSum:
+    """Photon paths through the first ``stage`` stages, compiled for one layout.
+
+    Path p ends in ``arms[p]`` with amplitude ``amplitudes[p]``: the input
+    amplitude times the beamsplitter entries along the path.
+    ``incidence[p, a, m]`` is 1 iff path p crosses attachment a and that
+    attachment kicks meter m. Couplings are supplied per evaluation, so one
+    compiled sum serves any batch of coupling vectors.
+    """
+
+    arms: tuple[str, ...]
+    amplitudes: tuple[complex, ...]
+    incidence: np.ndarray
+    meter_ids: tuple[str, ...]
+    configs: tuple[MeterConfig, ...]
+    stage: int
+
+    @classmethod
+    def compile(
+        cls,
+        circuit: Circuit,
+        input_state: PhotonState,
+        attachments: list[MeterAttachment] | tuple[MeterAttachment, ...] = (),
+        upto: int | None = None,
+    ) -> "PathSum":
+        """Enumerate the paths of ``input_state`` through ``upto`` stages.
+
+        The attachments fix the layout (meter, arm, insertion stage, delta);
+        their ``g`` values are not used here.
+        """
+        upto = len(circuit) if upto is None else upto
+        if not 0 <= upto <= len(circuit):
+            raise ValueError(f"stage index {upto} out of range 0..{len(circuit)}")
+        meter_ids: list[str] = []
+        configs: list[MeterConfig] = []
+        slots = []
+        # attachment indices by (insertion stage, arm)
+        acting: dict[tuple[int, str], tuple[int, ...]] = {}
+        for a, att in enumerate(attachments):
+            att.validate()
+            if att.meter_id not in meter_ids:
+                meter_ids.append(att.meter_id)
+                configs.append(att.config)
+            slots.append(_meter_slot(meter_ids, configs, att))
+            key = (att.insertion_stage, att.arm)
+            acting[key] = acting.get(key, ()) + (a,)
+
+        # a path is (current arm, amplitude, indices of the attachments crossed)
+        paths = [
+            (arm, complex(c), acting.get((0, arm), ()))
+            for arm, c in input_state.amplitudes.items()
+            if c != 0
+        ]
+        for k, bs in enumerate(circuit.stages[:upto], start=1):
+            for out in bs.outputs:
+                if sum(abs(c) ** 2 for arm, c, _ in paths if arm == out) > ATOL:
+                    raise PipelineError(
+                        f"BS{bs.ident}: nonzero amplitude already present on output port {out}"
+                    )
+            m = bs.amplitude_matrix.tolist()
+            moved = []
+            for arm, c, hit in paths:
+                if arm not in bs.inputs:
+                    moved.append((arm, c, hit + acting.get((k, arm), ())))
+                    continue
+                col = bs.inputs.index(arm)
+                for row, out in enumerate(bs.outputs):
+                    amp = c * m[row][col]
+                    if amp != 0:
+                        moved.append((out, amp, hit + acting.get((k, out), ())))
+            paths = moved
+        incidence = np.zeros((len(paths), len(attachments), len(meter_ids)))
+        for p, (_, _, hit) in enumerate(paths):
+            for a in hit:
+                incidence[p, a, slots[a]] = 1.0
+        return cls(
+            arms=tuple(arm for arm, _, _ in paths),
+            amplitudes=tuple(c for _, c, _ in paths),
+            incidence=incidence,
+            meter_ids=tuple(meter_ids),
+            configs=tuple(configs),
+            stage=upto,
+        )
+
+    def merged(self, couplings, arms=None) -> dict[str, tuple[list[complex], np.ndarray]]:
+        """Per final arm: merged amplitudes (K,) and meter shifts (K, B, M).
+
+        ``couplings`` is the batch G, shape (B, number of attachments); path
+        p's shift of meter m is G times ``incidence[p, :, m]``. Paths of one
+        arm whose shifts are equal over the whole batch merge into one term
+        by summing amplitudes; exact-zero sums are dropped. With ``arms``
+        given, exactly those arms are returned (no terms if unreached);
+        otherwise every arm that keeps a term.
+        """
+        g = np.asarray(couplings, dtype=float)
+        n_att = self.incidence.shape[1]
+        if g.ndim != 2 or g.shape[1] != n_att:
+            raise ValueError(f"couplings must have shape (batch, {n_att}), got {g.shape}")
+        if not np.isfinite(g).all():
+            raise ValueError("couplings must be finite")
+        # adding 0.0 turns -0.0 into 0.0, so equal bytes mean equal shifts
+        shifts = g @ self.incidence + 0.0  # (P, B, M)
+        groups: dict[tuple[str, bytes], list] = {}
+        for p, (arm, c) in enumerate(zip(self.arms, self.amplitudes)):
+            if arms is None or arm in arms:
+                group = groups.setdefault((arm, shifts[p].tobytes()), [0j, p])
+                group[0] += c
+        terms: dict[str, tuple[list[complex], list[int]]] = {arm: ([], []) for arm in arms or ()}
+        for (arm, _), (c, p) in groups.items():
+            if c != 0:
+                coeffs, rows = terms.setdefault(arm, ([], []))
+                coeffs.append(c)
+                rows.append(p)
+        return {arm: (coeffs, shifts[rows]) for arm, (coeffs, rows) in terms.items()}
+
+    def statistics(self, couplings, arms) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Per requested arm: probability (B,) and un-normalized moments (B, M).
+
+        The moment of meter m is the probability times the conditional
+        pointer mean <Q_m> given the photon is in that arm.
+        """
+        deltas = [cfg.delta for cfg in self.configs]
+        return {
+            arm: gram_sums(coeffs, shifts, deltas)
+            for arm, (coeffs, shifts) in self.merged(couplings, arms).items()
+        }
 
 
 def run_pipeline(
@@ -230,31 +326,17 @@ def run_pipeline(
 ) -> JointState:
     """Evolve |input> x |meters> through the stages, couplings interleaved.
 
-    With no attachments this reduces to the pure path-space evolution. The
-    returned state has unit total norm (every coupling is unitary).
+    The batch-of-one view of ``PathSum``: each arm's component lists the
+    merged paths ending there. With no attachments this reduces to the pure
+    path-space evolution. The returned state has unit total norm (every
+    coupling is unitary).
     """
-    upto = len(circuit) if upto is None else upto
-    if not 0 <= upto <= len(circuit):
-        raise ValueError(f"stage index {upto} out of range 0..{len(circuit)}")
-    meter_ids: list[str] = []
-    configs: list[MeterConfig] = []
-    for att in attachments:
-        att.validate()
-        if att.meter_id not in meter_ids:
-            meter_ids.append(att.meter_id)
-            configs.append(att.config)
-        elif configs[meter_ids.index(att.meter_id)].delta != att.config.delta:
-            raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
-    js = JointState.from_photon(input_state, tuple(meter_ids), tuple(configs))
-    for att in attachments:
-        if att.insertion_stage == 0:
-            js = apply_measurement(js, att)
-    for k, bs in enumerate(circuit.stages[:upto], start=1):
-        js = _apply_stage(js, bs)
-        for att in attachments:
-            if att.insertion_stage == k:
-                js = apply_measurement(js, att)
-    return js
+    paths = PathSum.compile(circuit, input_state, attachments, upto)
+    comps = {
+        arm: tuple(JointBranch(c, tuple(s)) for c, (s,) in zip(coeffs, shifts.tolist()))
+        for arm, (coeffs, shifts) in paths.merged([[att.g for att in attachments]]).items()
+    }
+    return JointState(comps, paths.meter_ids, paths.configs, paths.stage)
 
 
 @dataclass(frozen=True)
@@ -266,16 +348,12 @@ class PostselectResult:
     meter_ids: tuple[str, ...]
     configs: tuple[MeterConfig, ...]
 
-    def _as_state(self) -> JointState:
-        return JointState({"N": self.branches}, self.meter_ids, self.configs)
-
     def pointer_mean(self, meter_id: str) -> float:
         """Conditional <Q> of one meter given the detector fired."""
         if self.probability <= 1e-30:
             raise NoPostselectedEventsError("postselection probability is zero")
-        st = self._as_state()
         slot = self.meter_ids.index(meter_id)
-        return st.component_moment("N", slot) / self.probability
+        return float(_branch_gram(self.branches, self.configs)[1][slot]) / self.probability
 
     @property
     def meter_waves(self) -> tuple[MeterWave, ...]:
@@ -337,8 +415,7 @@ class PostselectResult:
 
 def postselect(js: JointState, detector: str) -> PostselectResult:
     """Project onto a detector arm: probability plus conditional meter state."""
-    if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
+    _check_detector(detector)
     branches = js.components.get(detector, ())
     prob = js.component_norm2(detector)
     return PostselectResult(prob, branches, js.meter_ids, js.configs)
@@ -360,5 +437,6 @@ def arm_occupation(
         raise ValueError(f"stage index {stage} out of range 0..{len(circuit)}")
     if not ARM_FIRST_STAGE[arm] <= stage <= ARM_LAST_STAGE[arm]:
         raise ValueError(f"arm {arm} is not live at stage {stage}")
-    js = run_pipeline(circuit, input_state, attachments, upto=stage)
-    return js.component_norm2(arm)
+    paths = PathSum.compile(circuit, input_state, attachments, upto=stage)
+    prob, _ = paths.statistics([[att.g for att in attachments]], (arm,))[arm]
+    return float(prob[0])

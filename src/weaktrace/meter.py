@@ -49,8 +49,8 @@ class MeterConfig:
     grid_points: int = 4096
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
 
@@ -122,16 +122,43 @@ def pointer_first_moment(a: float, b: float, delta: float) -> float:
     return 0.5 * (a + b) * branch_overlap(a, b, delta)
 
 
+def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norm and first pointer moments of sum_p c_p |G_{s_p}>, batched.
+
+    ``shifts`` has shape (P, B, M): P branches, a batch of B shift sets and
+    M meters with squared widths ``deltas``. The meters' Gaussians multiply,
+    so a pair overlap is the product of per-meter overlaps. Returns the
+    squared norms, shape (B,), and the un-normalized moments norm2 * <Q_m>,
+    shape (B, M). The loop runs over the P(P+1)/2 branch pairs with
+    length-B vectors, so memory stays O(P B M).
+    """
+    c = [complex(x) for x in coefficients]
+    s = np.asarray(shifts, dtype=float)
+    neg_inv4d = -0.25 / np.asarray(deltas, dtype=float)
+    norm2 = np.zeros(s.shape[1])
+    moment = np.zeros(s.shape[1:])
+    for p, cp in enumerate(c):
+        weight = abs(cp) ** 2
+        norm2 += weight
+        moment += weight * s[p]
+        for q in range(p + 1, len(c)):
+            d = s[p] - s[q]
+            overlap = np.exp((d * d) @ neg_inv4d)
+            cross = 2.0 * (cp.conjugate() * c[q]).real
+            norm2 += cross * overlap
+            moment += (0.5 * cross * overlap)[:, None] * (s[p] + s[q])
+    return norm2, moment
+
+
+def _wave_gram(w: MeterWave) -> tuple[float, float]:
+    shifts = np.array([b.shift for b in w.branches], dtype=float).reshape(-1, 1, 1)
+    norm2, moment = gram_sums([b.coefficient for b in w.branches], shifts, [w.config.delta])
+    return float(norm2[0]), float(moment[0, 0])
+
+
 def wave_norm2(w: MeterWave) -> float:
     """Squared norm sum_ij conj(c_i) c_j <G_i|G_j>; real and nonnegative."""
-    d = w.config.delta
-    total = 0.0
-    for i, bi in enumerate(w.branches):
-        total += abs(bi.coefficient) ** 2
-        for bj in w.branches[i + 1:]:
-            cross = (bi.coefficient.conjugate() * bj.coefficient).real
-            total += 2.0 * cross * branch_overlap(bi.shift, bj.shift, d)
-    return total
+    return _wave_gram(w)[0]
 
 
 def wave_pointer_mean(w: MeterWave) -> float:
@@ -140,16 +167,9 @@ def wave_pointer_mean(w: MeterWave) -> float:
     Raises NoPostselectedEventsError when the wave has (numerically) zero
     norm, i.e. the conditioning event never occurs.
     """
-    n2 = wave_norm2(w)
+    n2, moment = _wave_gram(w)
     if n2 <= NORM2_FLOOR:
         raise NoPostselectedEventsError("pointer mean undefined: wave norm is zero")
-    d = w.config.delta
-    moment = 0.0
-    for i, bi in enumerate(w.branches):
-        moment += abs(bi.coefficient) ** 2 * bi.shift
-        for bj in w.branches[i + 1:]:
-            cross = (bi.coefficient.conjugate() * bj.coefficient).real
-            moment += 2.0 * cross * pointer_first_moment(bi.shift, bj.shift, d)
     return moment / n2
 
 

@@ -61,6 +61,12 @@ def _check_arm(arm: str) -> str:
     return arm
 
 
+def _check_detector(detector: str) -> str:
+    if detector not in DETECTORS:
+        raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
+    return detector
+
+
 @dataclass(frozen=True)
 class PhotonState:
     """Complex amplitude per arm; absent labels carry amplitude zero."""
@@ -111,7 +117,7 @@ class BeamSplitter:
         t = np.asarray(self.transfer, dtype=complex)
         if t.shape != (2, 2):
             raise ValueError(f"BS{self.ident}: transfer must be 2x2")
-        if not np.allclose(t.conj().T @ t, np.eye(2), atol=ATOL, rtol=0.0):
+        if not np.abs(t.conj().T @ t - np.eye(2)).max() <= ATOL:
             raise ValueError(f"BS{self.ident}: transfer is not unitary to {ATOL}")
         object.__setattr__(self, "transfer", t)
 

@@ -63,16 +63,21 @@ def evolve_vector(k: int, amplitudes: dict | None = None) -> np.ndarray:
 ARM_STAGE = {"N": 0, "N0": 0, "D0": 0, "A": 1, "D": 1, "B": 2, "C": 2, "E": 3, "D3": 3}
 
 
-def oracle_weak_value(arm: str, detector: str, amplitudes: dict | None = None) -> complex:
-    """Projected transition ratio from dense matrix products."""
+def projected_amplitude(arm: str, detector: str, amplitudes: dict | None = None) -> complex:
+    """<detector| U4..U(k+1) Pi_arm U(k)..U1 |in> by dense products, k the arm's stage."""
     k = ARM_STAGE[arm]
     mid = evolve_vector(k, amplitudes)
     proj = np.zeros_like(mid)
     proj[IDX[arm]] = mid[IDX[arm]]
     for u in STAGE_MATRICES[k:]:
         proj = u @ proj
+    return proj[IDX[detector]]
+
+
+def oracle_weak_value(arm: str, detector: str, amplitudes: dict | None = None) -> complex:
+    """Projected transition ratio from dense matrix products."""
     full = evolve_vector(4, amplitudes)
-    return proj[IDX[detector]] / full[IDX[detector]]
+    return projected_amplitude(arm, detector, amplitudes) / full[IDX[detector]]
 
 
 # ---------------------------------------------------------------- quadrature
@@ -93,6 +98,21 @@ def quad_first_moment(a, b, delta, points=200001, span=14.0):
     hi = max(a, b) + span * np.sqrt(delta)
     q = np.linspace(lo, hi, points)
     return np.trapezoid(q * gaussian(q, a, delta) * gaussian(q, b, delta), q)
+
+
+def gaussian_gram(terms, delta):
+    """(norm2, norm2 * <Q>) of sum_i c_i G_{s_i} from the closed-form Gram.
+
+    ``terms`` are (c_i, s_i) pairs; every s_i may be an array of samples,
+    which are then evaluated elementwise. Sums over all ordered pairs.
+    """
+    norm2 = moment = 0.0
+    for ci, si in terms:
+        for cj, sj in terms:
+            w = (np.conj(ci) * cj).real * np.exp(-((si - sj) ** 2) / (4.0 * delta))
+            norm2 = norm2 + w
+            moment = moment + w * 0.5 * (si + sj)
+    return norm2, moment
 
 
 def quad_wave_stats(branches, delta, points=None, span=10.0):

@@ -117,6 +117,15 @@ def test_discontinuity_rows(capsys):
     assert meta["discontinuous"] == "True"
 
 
+def test_discontinuity_json(capsys):
+    code, out, _ = run_cli(capsys, "discontinuity", "--g-grid", "0.5,0.1,0.01", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["discontinuous"] is True
+    assert payload["meta"]["b_signal_via_e"] is True
+    assert payload["rows"][-1]["e_occupation"] == 0.0
+
+
 def test_danan_mean_mode_single_peak(capsys):
     code, out, _ = run_cli(
         capsys, "danan", "--mode", "mean", "--mirrors", "M2", "--read", "D3"
@@ -192,7 +201,20 @@ def test_invalid_configuration_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep"])  # --arm is required
     assert exc.value.code == 2
+    for argv in (["mean-values", "--g", "nan"], ["mean-values", "--g", "inf"],
+                 ["danan", "--g", "nan"], ["mean-values", "--delta", "inf"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "invalid configuration" in err
     capsys.readouterr()
+
+
+def test_invalid_seed_env_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("WEAKTRACE_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["weak-values"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_no_postselected_events_exit_code(capsys):

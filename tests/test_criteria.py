@@ -104,6 +104,22 @@ def test_operational_sweep_arm_c_closed_form_and_limit():
     assert abs(record.estimates[0][1] - record.limit) > 0.2
 
 
+@pytest.mark.parametrize("detector", ("D1", "D2", "D3"))
+def test_operational_ratios_match_alpha_beta_closed_form(detector):
+    # the conditional wave is alpha*G_g + beta*G_0, with alpha the amplitude
+    # routed through the measured arm (dense oracle) and beta the rest
+    full = oracles.evolve_vector(4)[oracles.IDX[detector]]
+    for arm in TABLE_ARMS:
+        alpha = oracles.projected_amplitude(arm, detector)
+        beta = full - alpha
+        for grid, delta in (([2.0, 1.0, 0.5, 0.1, 0.01], 1.0), ([0.7, 0.3], 0.2), ([50.0], 1e-4)):
+            record = weak_value_operational(arm, detector, grid, delta)
+            for g, ratio in record.estimates:
+                cross = (alpha.conjugate() * beta).real * math.exp(-g * g / (4.0 * delta))
+                closed = (abs(alpha) ** 2 + cross) / (abs(alpha) ** 2 + abs(beta) ** 2 + 2 * cross)
+                assert abs(ratio - closed) < 1e-12
+
+
 @pytest.mark.parametrize("arm", ("D", "E"))
 def test_operational_sweep_dead_arms_zero_at_every_g(arm):
     record = weak_value_operational(arm, "D2", [1.0, 0.5, 0.1, 0.01], delta=1.0)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from weaktrace import (
     Mirror,
     MirrorSchedule,
@@ -26,6 +28,32 @@ def test_all_mirrors_disabled_flat():
         _, power = trace.spectra[key]
         assert np.all(power == 0.0)
     np.testing.assert_allclose(trace.series["D3_prob"], 0.5, atol=1e-12)
+
+
+def test_three_mirror_traces_match_dense_oracle():
+    # large, unequal couplings on one shared pointer: far from the weak
+    # regime, every sample is a three-path Gram sum at each outer port
+    delta = 0.5
+    schedule = MirrorSchedule((
+        Mirror("M1", "A", 3.0, 0.8), Mirror("M2", "B", 5.0, -0.5), Mirror("M3", "C", 7.0, 1.3),
+    ))
+    trace = simulate_traces(schedule, 1.0, 64.0, delta)
+    couplings = {
+        m.arm: m.amplitude * np.sin(2 * np.pi * m.frequency * trace.times)
+        for m in schedule.mirrors
+    }
+    outer_prob = outer_moment = 0.0
+    for det in ("D1", "D2", "D3"):
+        terms = [(oracles.projected_amplitude(arm, det), g) for arm, g in couplings.items()]
+        prob, moment = oracles.gaussian_gram(terms, delta)
+        np.testing.assert_allclose(trace.series[f"{det}_prob"], prob, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.series[f"{det}_mean"], moment / prob, rtol=0, atol=1e-12)
+        if det != "D3":
+            outer_prob, outer_moment = outer_prob + prob, outer_moment + moment
+    np.testing.assert_allclose(trace.series["outer_prob"], outer_prob, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        trace.series["outer_mean"], outer_moment / outer_prob, rtol=0, atol=1e-12
+    )
 
 
 def test_m2_only_d3_signal_exact():
@@ -144,3 +172,7 @@ def test_simulate_traces_validation():
         ))  # duplicate frequencies
     with pytest.raises(ValueError):
         Mirror("M1", "E", 5.0, 1e-2)  # mirrors sit in A, B or C only
+    for frequency, amplitude in ((5.0, float("nan")), (5.0, float("inf")),
+                                 (float("nan"), 1e-2), (float("inf"), 1e-2)):
+        with pytest.raises(ValueError):
+            Mirror("M1", "A", frequency, amplitude)

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaktrace import (
     ARMS,
+    DETECTORS,
     EntangledMetersError,
     JointState,
     MeterAttachment,
     MeterConfig,
+    PathSum,
     PhotonState,
+    PipelineError,
     apply_beamsplitter,
     apply_measurement,
     arm_occupation,
@@ -21,6 +26,7 @@ from weaktrace import (
     run_pipeline,
     wave_norm2,
 )
+from weaktrace.paths import ARM_FIRST_STAGE, ARM_LAST_STAGE
 
 import oracles
 
@@ -70,6 +76,17 @@ def test_attachment_on_dead_arm_rejected():
         apply_measurement(js, b_meter(0.1, meter_id="m"))  # B not live at stage 0
     with pytest.raises(ValueError):
         MeterAttachment("m", "B", 0.1, CFG, insert_after=4).validate()
+
+
+def test_pipeline_layout_checks():
+    circuit = build_nested_mzi()
+    with pytest.raises(PipelineError):  # D1 already occupied when BS4 fires
+        run_pipeline(circuit, PhotonState({"N": 1 / SQ2, "D1": 1 / SQ2}))
+    two_widths = [b_meter(0.1, 1.0, "m"), MeterAttachment("m", "A", 0.1, MeterConfig(2.0))]
+    with pytest.raises(ValueError):
+        run_pipeline(circuit, PhotonState.source(), two_widths)
+    with pytest.raises(ValueError):
+        run_pipeline(circuit, PhotonState.source(), upto=5)
 
 
 def test_pipeline_without_attachments_matches_pure_evolution():
@@ -272,3 +289,51 @@ def test_arm_occupation_validation():
         arm_occupation(circuit, PhotonState.source(), [], "E", 1)  # E not live yet
     with pytest.raises(ValueError):
         arm_occupation(circuit, PhotonState.source(), [], "B", 5)
+
+
+def test_non_finite_couplings_rejected():
+    for g in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            b_meter(g)
+    # batched couplings never build an attachment per row: checked at entry
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), [b_meter(0.1)])
+    with pytest.raises(ValueError):
+        paths.statistics([[0.1], [float("nan")]], DETECTORS)
+    with pytest.raises(ValueError):
+        paths.statistics([[0.1, 0.2]], DETECTORS)  # one column per attachment
+
+
+LIVE = [(arm, k) for arm in ARMS for k in range(ARM_FIRST_STAGE[arm], ARM_LAST_STAGE[arm] + 1)]
+COUPLING = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def layouts(draw):
+    """One to three attachments on live arms; meters shared or separate."""
+    widths = {}
+    layout = []
+    for i in range(draw(st.integers(1, 3))):
+        arm, stage = draw(st.sampled_from(LIVE))
+        meter = draw(st.sampled_from([f"m{j}" for j in range(i + 1)]))
+        delta = widths.setdefault(meter, draw(st.floats(0.05, 5.0)))
+        layout.append(MeterAttachment(meter, arm, 0.0, MeterConfig(delta), insert_after=stage))
+    return layout
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), mix=st.floats(0.0, math.pi / 2), phase=st.floats(0.0, 2 * math.pi),
+       data=st.data())
+def test_path_sum_batch_properties(layout, mix, phase, data):
+    state = PhotonState({"N": math.cos(mix), "N0": math.sin(mix) * complex(math.cos(phase),
+                                                                           math.sin(phase))})
+    paths = PathSum.compile(build_nested_mzi(), state, layout)
+    row = st.lists(COUPLING, min_size=len(layout), max_size=len(layout))
+    couplings = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
+    stats = paths.statistics(couplings, DETECTORS)
+    total = sum(stats[d][0] for d in DETECTORS)
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+    for b in range(len(couplings)):
+        single = paths.statistics(couplings[b:b + 1], DETECTORS)
+        for d in DETECTORS:
+            np.testing.assert_allclose(stats[d][0][b], single[d][0][0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats[d][1][b], single[d][1][0], rtol=0, atol=1e-12)

@@ -45,8 +45,9 @@ def test_overlap_scale_symmetry():
 def test_overlap_rejects_bad_delta():
     with pytest.raises(ValueError):
         branch_overlap(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        MeterConfig(-1.0)
+    for delta in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            MeterConfig(delta)
 
 
 def test_first_moment_examples():

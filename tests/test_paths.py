@@ -143,6 +143,8 @@ def test_invalid_constructions_rejected():
         BeamSplitter(9, ("N", "N0"), ("N", "A"), np.eye(2))  # overlapping ports
     with pytest.raises(ValueError):
         BeamSplitter(9, ("N", "N0"), ("D", "A"), np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        BeamSplitter(9, ("N", "N0"), ("D", "A"), np.full((2, 2), np.nan))  # NaN residual
     b = build_nested_mzi().stages
     with pytest.raises(ValueError):
         Circuit((b[0], b[0]))  # D and A produced twice
