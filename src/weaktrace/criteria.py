@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import MeterAttachment, PathSum, arm_occupation, postselect, run_pipeline
-from .meter import MeterConfig, NoPostselectedEventsError, sample_with_rng
+from .meter import MeterConfig, NoPostselectedEventsError, _readout_chunks
 from .paths import (
     ARM_FIRST_STAGE,
     Circuit,
@@ -38,6 +38,9 @@ from .paths import (
 ARM_PROJECTOR_STAGE = ARM_FIRST_STAGE
 
 _DENOM_FLOOR = 1e-15
+
+#: Largest trial count: numpy's binomial sampler takes a signed 64-bit count.
+_MAX_TRIALS = 2**63 - 1
 
 
 class UndefinedWeakValueError(ValueError):
@@ -216,12 +219,15 @@ def monte_carlo_weak_value(
 
     Each trial either postselects (with the detector probability) and then
     yields one projective pointer readout, or is discarded. The number of
-    successes is drawn binomially and the readouts i.i.d. from the
+    successes is drawn binomially and the readouts i.i.d. from the exact
     conditional density, which is distributionally identical to looping
-    over trials one by one.
+    over trials one by one. Readouts are consumed in fixed-size chunks whose
+    (count, mean, M2) are merged by Chan's pairwise update, so memory is
+    O(chunk) for any ``n`` and the standard error stays accurate when the
+    mean is large against the spread.
     """
-    if n < 1:
-        raise ValueError("trial count must be at least 1")
+    if not 1 <= n <= _MAX_TRIALS:
+        raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     js = run_pipeline(circuit, in_state, [MeterAttachment("probe", arm, g, MeterConfig(delta))])
@@ -232,9 +238,18 @@ def monte_carlo_weak_value(
     n_sel = int(rng.binomial(n, min(sel.probability, 1.0)))
     if n_sel == 0:
         raise NoPostselectedEventsError(f"no successful postselections in {n} trials")
-    draws = sample_with_rng(sel.meter_waves[0], n_sel, rng)
-    value = float(draws.mean()) / g
-    stderr = float(draws.std(ddof=1)) / math.sqrt(n_sel) / g if n_sel > 1 else float("nan")
+    count, mean, m2 = 0, 0.0, 0.0
+    for x in _readout_chunks(sel.meter_waves[0], n_sel, rng):
+        x_mean = float(x.mean())
+        x -= x_mean
+        x_m2 = float(np.square(x, out=x).sum())
+        total = count + x.size
+        step = x_mean - mean
+        mean += step * x.size / total
+        m2 += x_m2 + step * step * count * x.size / total
+        count = total
+    value = mean / g
+    stderr = math.sqrt(m2 / (n_sel - 1) / n_sel) / g if n_sel > 1 else float("nan")
     return MonteCarloEstimate(value, stderr, g, n, n_sel)
 
 

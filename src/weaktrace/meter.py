@@ -13,9 +13,14 @@ inner products have closed forms:
     <G_a | G_b>     = exp(-(a - b)^2 / (4 delta))
     <G_a | Q | G_b> = (a + b)/2 * exp(-(a - b)^2 / (4 delta)).
 
-Keeping the branch representation exact (instead of discretizing on a
-grid) removes every source of numerical error except double rounding;
-grids appear only in the readout sampler and in test oracles.
+The readout density is a finite mixture of the same kind,
+
+    |sum_i c_i G_{a_i}|^2 = sum_{i<=j} w_ij N(q; (a_i + a_j)/2, delta/2),
+    w_ij = (2 - [i = j]) Re(conj(c_i) c_j) exp(-(a_i - a_j)^2 / (4 delta)),
+
+so pointer readouts are drawn from it exactly, by rejection where some w_ij
+is negative. No quantity is ever discretized on a grid; the only error left
+is double rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +36,19 @@ SHIFT_MERGE_TOL = 1e-14
 #: Below this squared norm a conditional wave has no postselected events.
 NORM2_FLOOR = 1e-30
 
+#: Largest readout chunk the sampler holds in memory at once. Its 64 KiB
+#: arrays stay in cache and under glibc's mmap threshold; larger chunks
+#: measured slower per draw.
+_CHUNK = 1 << 13
+
+#: Variance inflations eps of the Gaussian envelope N(mean, (delta/2)(1 + eps))
+#: tried for a signed two-branch density; the one with the smallest bound wins.
+_ENVELOPE_WIDENINGS = (0.1, 0.2, 0.4, 0.8)
+
+#: Step cap of the bracketing and bisection in ``_envelope_log_bound``:
+#: doubles span 2^-1074..2^1024, so no bracket needs more halvings or doublings.
+_MAX_STEPS = 2200
+
 
 class NoPostselectedEventsError(ValueError):
     """Conditional meter statistics requested for a vanishing-norm wave."""
@@ -38,21 +56,13 @@ class NoPostselectedEventsError(ValueError):
 
 @dataclass(frozen=True)
 class MeterConfig:
-    """Initial-Gaussian squared width plus grid parameters for quadrature.
-
-    ``grid_span_sigmas`` and ``grid_points`` only drive the readout sampler
-    and the test-side quadrature oracle; the analytic algebra never uses them.
-    """
+    """Squared width of the initial meter Gaussian."""
 
     delta: float
-    grid_span_sigmas: float = 10.0
-    grid_points: int = 4096
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be at least 16")
 
 
 @dataclass(frozen=True)
@@ -100,15 +110,6 @@ class MeterWave:
             self.config,
         )
 
-    def wavefunction(self, q: np.ndarray) -> np.ndarray:
-        """Evaluate the (possibly un-normalized) wavefunction on a grid."""
-        d = self.config.delta
-        norm = (math.pi * d) ** -0.25
-        out = np.zeros_like(q, dtype=complex)
-        for b in self.branches:
-            out += b.coefficient * norm * np.exp(-((q - b.shift) ** 2) / (2.0 * d))
-        return out
-
 
 def branch_overlap(a: float, b: float, delta: float) -> float:
     """<G_a|G_b> for unit-normalized Gaussians of squared width ``delta``."""
@@ -131,22 +132,27 @@ def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
     squared norms, shape (B,), and the un-normalized moments norm2 * <Q_m>,
     shape (B, M). The loop runs over the P(P+1)/2 branch pairs with
     length-B vectors, so memory stays O(P B M).
+
+    The sums are compensated: with C = sum_p c_p and every overlap written
+    as 1 + expm1(...), the norm is |C|^2 + sum_{p<q} 2 Re(conj(c_p) c_q)
+    expm1(-d_pq^2 / 4 delta). A dark port, where C = 0 and the overlaps
+    are 1 - O(g^2), then keeps full relative precision at any small g
+    instead of cancelling to zero.
     """
     c = [complex(x) for x in coefficients]
     s = np.asarray(shifts, dtype=float)
     neg_inv4d = -0.25 / np.asarray(deltas, dtype=float)
-    norm2 = np.zeros(s.shape[1])
+    total = sum(c, 0j)
+    norm2 = np.full(s.shape[1], abs(total) ** 2)
     moment = np.zeros(s.shape[1:])
     for p, cp in enumerate(c):
-        weight = abs(cp) ** 2
-        norm2 += weight
-        moment += weight * s[p]
+        moment += (cp.conjugate() * total).real * s[p]
         for q in range(p + 1, len(c)):
             d = s[p] - s[q]
-            overlap = np.exp((d * d) @ neg_inv4d)
+            excess = np.expm1((d * d) @ neg_inv4d)  # overlap - 1
             cross = 2.0 * (cp.conjugate() * c[q]).real
-            norm2 += cross * overlap
-            moment += (0.5 * cross * overlap)[:, None] * (s[p] + s[q])
+            norm2 += cross * excess
+            moment += (0.5 * cross * excess)[:, None] * (s[p] + s[q])
     return norm2, moment
 
 
@@ -173,38 +179,161 @@ def wave_pointer_mean(w: MeterWave) -> float:
     return moment / n2
 
 
-def _readout_grid(w: MeterWave) -> tuple[np.ndarray, np.ndarray]:
-    """Position grid spanning all branches plus the configured tail margin."""
-    cfg = w.config
-    span = cfg.grid_span_sigmas * math.sqrt(cfg.delta)
-    shifts = [b.shift for b in w.branches]
-    lo, hi = min(shifts) - span, max(shifts) + span
-    # resolution matters more than the configured floor for inverse-CDF draws
-    n = max(cfg.grid_points, 4096)
-    q = np.linspace(lo, hi, n)
-    density = np.abs(w.wavefunction(q)) ** 2
-    return q, density
+def _envelope_terms(alpha, beta, a0, a1, delta, mean, eps):
+    """Coefficients of log sqrt(f/h) for f = (alpha G_a0 - beta G_a1)^2.
+
+    h is the normal density N(mean, (delta/2)(1 + eps)) and alpha, beta > 0.
+    With t = ln(beta G_a1 / (alpha G_a0)) = slope * q + offset, affine in q,
+
+        log sqrt(f/h) = const - k (t - t_a)^2 + log|expm1(t)|,  k > 0,
+
+    which is concave on either side of the zero t = 0 of f. Returns
+    (slope, offset, k, t_a, const).
+    """
+    gap = a1 - a0
+    ell = math.log(alpha / beta)
+    slope = gap / delta
+    offset = -slope * 0.5 * (a0 + a1) - ell
+    k = eps * delta / (2.0 * (1.0 + eps) * gap * gap)
+    t_a = slope * ((a0 - mean) / eps - 0.5 * gap) - ell
+    const = 0.25 * math.log1p(eps) + (a0 - mean) ** 2 / (2.0 * eps * delta) + math.log(alpha)
+    return slope, offset, k, t_a, const
 
 
-def readout_cdf(w: MeterWave) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and normalized cumulative distribution of the pointer readout."""
-    n2 = wave_norm2(w)
+def _envelope_log_bound(alpha, beta, a0, a1, delta, mean, eps) -> float:
+    """log M with M >= sup_q f(q)/h(q), in the setting of ``_envelope_terms``.
+
+    On each side of t = 0 the concave log sqrt(f/h) has one maximum; its
+    derivative is bracketed and bisected down to adjacent doubles, and the
+    maximum is bounded from above by the tangent lines at the two ends of
+    the final bracket. Returns inf when the bracket cannot be found (the
+    coefficients are out of double range), which disqualifies the envelope.
+    """
+    _, _, k, t_a, const = _envelope_terms(alpha, beta, a0, a1, delta, mean, eps)
+    if not (k > 0.0 and math.isfinite(k * t_a) and math.isfinite(const)):
+        return math.inf
+
+    def value(t):
+        log_abs = math.log(-math.expm1(t)) if t < 0 else t + math.log(-math.expm1(-t))
+        return const - k * (t - t_a) ** 2 + log_abs
+
+    def slope(t):
+        d_log_abs = math.exp(t) / math.expm1(t) if t < 0 else -1.0 / math.expm1(-t)
+        return -2.0 * k * (t - t_a) + d_log_abs
+
+    best = -math.inf
+    for side in (-1.0, 1.0):
+        # "inner" lies between 0 and the maximum, "outer" beyond it
+        inner = outer = side
+        for _ in range(_MAX_STEPS):
+            if slope(inner) * side > 0:
+                break
+            inner *= 0.5
+        else:
+            return math.inf
+        for _ in range(_MAX_STEPS):
+            if slope(outer) * side < 0:
+                break
+            outer *= 2.0
+        else:
+            return math.inf
+        for _ in range(_MAX_STEPS):
+            mid = 0.5 * (inner + outer)
+            if mid in (inner, outer):
+                break
+            if slope(mid) * side > 0:
+                inner = mid
+            else:
+                outer = mid
+        lo, hi = min(inner, outer), max(inner, outer)
+        width = hi - lo
+        best = max(best, min(value(lo) + slope(lo) * width, value(hi) - slope(hi) * width))
+    return 2.0 * best
+
+
+def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
+    """Yield ``n`` i.i.d. readouts from |w|^2 / norm2, in chunks of <= _CHUNK.
+
+    With every mixture weight w_ij >= 0 the draws are exact mixture draws:
+    multinomial component counts plus normal noise, so within a chunk they
+    come grouped by component. Otherwise proposals are accepted with
+    probability f/(M h) under an envelope M h >= f: the positive-weight
+    part of the mixture (M = 1), or, for two branches with a real negative
+    cross term, a single widened Gaussian whenever it accepts more. The last
+    chunk keeps a uniformly random subset of its accepted draws, never a
+    prefix, so the grouping cannot bias it.
+    """
+    n2, moment = _wave_gram(w)
     if n2 <= NORM2_FLOOR:
         raise NoPostselectedEventsError("readout undefined: wave norm is zero")
-    q, density = _readout_grid(w)
-    dq = q[1] - q[0]
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * dq)))
-    cdf /= cdf[-1]
-    return q, cdf
+    delta = w.config.delta
+    c = np.array([b.coefficient for b in w.branches], dtype=complex)
+    a = np.array([b.shift for b in w.branches], dtype=float)
+    i, j = np.triu_indices(len(c))
+    weights = np.where(i == j, 1.0, 2.0) * (c[i].conjugate() * c[j]).real
+    weights *= np.exp(-((a[i] - a[j]) ** 2) / (4.0 * delta))
+    means = 0.5 * (a[i] + a[j])
+    sd = math.sqrt(0.5 * delta)
+    positive = weights > 0
+    pos_weights, pos_means = weights[positive], means[positive]
+    p = pos_weights / pos_weights.sum()
+
+    def mixture(size):
+        """Exact draws from the positive-weight part of the mixture."""
+        return sd * rng.standard_normal(size) + np.repeat(pos_means, rng.multinomial(size, p))
+
+    if (weights >= 0).all():
+        while n > 0:
+            size = min(n, _CHUNK)
+            yield mixture(size)
+            n -= size
+        return
+
+    acceptance = n2 / pos_weights.sum()
+    envelope = None
+    if len(c) == 2 and (c[0].conjugate() * c[1]).imag == 0:
+        mean = moment / n2
+        alpha, beta = abs(c[0]), abs(c[1])
+        for eps in _ENVELOPE_WIDENINGS:
+            log_m = _envelope_log_bound(alpha, beta, a[0], a[1], delta, mean, eps)
+            if n2 * math.exp(-log_m) > acceptance:
+                acceptance = n2 * math.exp(-log_m)
+                terms = _envelope_terms(alpha, beta, a[0], a[1], delta, mean, eps)
+                envelope = (mean, sd * math.sqrt(1.0 + eps), log_m, terms)
+
+    while n > 0:
+        size = min(_CHUNK, math.ceil(n / acceptance))
+        if envelope is None:
+            x = mixture(size)
+            # f / positive part; normal constants cancel, shift keeps exp finite
+            e = (x[:, None] - means) ** 2 / delta
+            e -= e[:, positive].min(axis=1, keepdims=True)
+            np.exp(-e, out=e)
+            ratio = (e @ weights) / (e[:, positive] @ pos_weights)
+        else:
+            mean, sd_h, log_m, (slope, offset, k, t_a, const) = envelope
+            x = mean + sd_h * rng.standard_normal(size)
+            t = slope * x + offset
+            ratio = np.expm1(t) ** 2 * np.exp(2.0 * const - log_m - 2.0 * k * (t - t_a) ** 2)
+        x = np.compress(rng.random(size) < ratio, x)
+        if x.size > n:
+            x = x[rng.choice(x.size, n, replace=False)]
+        if x.size:
+            yield x
+            n -= x.size
 
 
 def sample_with_rng(w: MeterWave, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draws from |wave|^2 / norm2 using an existing generator."""
+    """``n`` exact i.i.d. draws from |wave|^2 / norm2 using an existing generator.
+
+    The draws come in a uniformly random order, so any prefix is itself an
+    i.i.d. sample.
+    """
     if n < 1:
         raise ValueError("sample count must be at least 1")
-    q, cdf = readout_cdf(w)
-    u = rng.random(n)
-    return np.interp(u, cdf, q)
+    draws = np.concatenate(list(_readout_chunks(w, n, rng)))
+    rng.shuffle(draws)
+    return draws
 
 
 def sample_pointer_readout(w: MeterWave, n: int, seed: int) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Independent brute-force cross-checks for the test suite.
 
 Everything here is built directly from the fixed beamsplitter ket maps,
-dense 11-dimensional matrix products, and grid quadrature with FFT-based
-pointer translations. Nothing imports the library's branch algebra, so
-agreement between the two routes is a real check.
+dense 11-dimensional matrix products, grid quadrature with FFT-based
+pointer translations, and the erf form of the readout distribution.
+Nothing imports the library's branch algebra, so agreement between the
+two routes is a real check.
 """
 
 from __future__ import annotations
@@ -113,6 +114,30 @@ def gaussian_gram(terms, delta):
             norm2 = norm2 + w
             moment = moment + w * 0.5 * (si + sj)
     return norm2, moment
+
+
+def exact_readout_cdf(branches, delta, x):
+    """CDF at ``x`` of |sum_i c_i phi_{s_i}|^2 / norm2, in closed form.
+
+    Every Gram term conj(c_i) c_j phi_i phi_j is a normal density with
+    variance delta/2 centred at (s_i + s_j)/2, weighted by
+    Re(conj(c_i) c_j) exp(-(s_i - s_j)^2 / (4 delta)); each contributes its
+    ``ndtr``. ``branches`` are (c_i, s_i) pairs.
+    """
+    # a local import: perfbench's gate loads this module, and scipy would
+    # count in the memory of every benchmark run
+    from scipy.special import ndtr
+
+    x = np.asarray(x, dtype=float)
+    sigma = np.sqrt(delta / 2.0)
+    cdf = np.zeros_like(x)
+    total = 0.0
+    for ci, si in branches:
+        for cj, sj in branches:
+            w = (np.conj(ci) * cj).real * np.exp(-((si - sj) ** 2) / (4.0 * delta))
+            cdf = cdf + w * ndtr((x - 0.5 * (si + sj)) / sigma)
+            total += w
+    return cdf / total
 
 
 def quad_wave_stats(branches, delta, points=None, span=10.0):

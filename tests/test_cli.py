@@ -1,6 +1,7 @@
 """Command-line surface: payloads, determinism, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -103,18 +104,22 @@ def test_sweep_with_monte_carlo(capsys):
 
 
 def test_discontinuity_rows(capsys):
-    code, out, _ = run_cli(capsys, "discontinuity", "--g-grid", "0.5,0.1,0.01")
-    assert code == 0
-    meta, header, rows = parse_csv(out)
-    assert header == ["g", "e_occupation", "pointer_ratio", "analogy_ratio"]
-    *finite, zero = rows
-    for row in finite:
-        assert float(row[1]) > 0.0
-        assert abs(float(row[2]) - 0.5) < 1e-12
-    assert float(zero[0]) == 0.0
-    assert float(zero[1]) == 0.0
-    assert zero[2] == ""  # ratio undefined at g = 0
-    assert meta["discontinuous"] == "True"
+    # the second grid reaches g = 1e-8, where the leakage is ~6e-18
+    for grid in ("0.5,0.1,0.01", "1e-3,1e-6,1e-8"):
+        code, out, _ = run_cli(capsys, "discontinuity", "--g-grid", grid)
+        assert code == 0
+        meta, header, rows = parse_csv(out)
+        assert header == ["g", "e_occupation", "pointer_ratio", "analogy_ratio"]
+        *finite, zero = rows
+        for row in finite:
+            g = float(row[0])
+            closed = -0.25 * math.expm1(-g * g / 4.0)
+            assert abs(float(row[1]) - closed) <= 1e-12 * closed
+            assert abs(float(row[2]) - 0.5) < 1e-12
+        assert float(zero[0]) == 0.0
+        assert float(zero[1]) == 0.0
+        assert zero[2] == ""  # ratio undefined at g = 0
+        assert meta["discontinuous"] == "True"
 
 
 def test_discontinuity_json(capsys):
@@ -202,7 +207,8 @@ def test_invalid_configuration_exit_code(capsys):
         main(["sweep"])  # --arm is required
     assert exc.value.code == 2
     for argv in (["mean-values", "--g", "nan"], ["mean-values", "--g", "inf"],
-                 ["danan", "--g", "nan"], ["mean-values", "--delta", "inf"]):
+                 ["danan", "--g", "nan"], ["mean-values", "--delta", "inf"],
+                 ["sweep", "--arm", "A", "--g", "1", "--mc-n", "100000000000000000000000"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "invalid configuration" in err

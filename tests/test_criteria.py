@@ -177,9 +177,28 @@ def test_monte_carlo_protocol_b_arm():
 
 
 def test_monte_carlo_a_arm_matches_operational():
-    record = weak_value_operational("A", "D2", [0.2], delta=1.0)
-    est = monte_carlo_weak_value("A", "D2", g=0.2, delta=1.0, n=100_000, seed=7)
-    assert abs(est.value - record.estimates[0][1]) < 5 * est.stderr
+    # C post D2 is the anomalous (signed) wave, sampled by rejection
+    for arm in ("A", "C"):
+        record = weak_value_operational(arm, "D2", [0.2], delta=1.0)
+        est = monte_carlo_weak_value(arm, "D2", g=0.2, delta=1.0, n=100_000, seed=7)
+        assert abs(est.value - record.estimates[0][1]) < 5 * est.stderr
+
+
+def test_monte_carlo_stderr_when_mean_dominates_spread():
+    # A post D2 is one Gaussian at shift g: readout sd sqrt(delta/2) << mean g;
+    # several chunks are merged, and the spread must survive the merge
+    g, delta = 1e4, 1e-6
+    est = monte_carlo_weak_value("A", "D2", g=g, delta=delta, n=1_000_000, seed=3)
+    assert est.n_postselected > 200_000
+    expected = math.sqrt(delta / 2.0) / math.sqrt(est.n_postselected) / g
+    assert abs(est.stderr / expected - 1.0) < 0.05
+    assert abs(est.value - 1.0) < 5 * est.stderr
+
+
+def test_monte_carlo_trial_count_range():
+    for n in (0, 2**63):
+        with pytest.raises(ValueError):
+            monte_carlo_weak_value("B", "D2", g=0.2, delta=1.0, n=n, seed=0)
 
 
 def test_monte_carlo_single_trial():

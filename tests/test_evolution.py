@@ -1,5 +1,6 @@
 """Joint photon-meter pipeline checks against the grid oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -337,3 +338,28 @@ def test_path_sum_batch_properties(layout, mix, phase, data):
         for d in DETECTORS:
             np.testing.assert_allclose(stats[d][0][b], single[d][0][0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(stats[d][1][b], single[d][1][0], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.floats(1e-12, 1e3), delta=st.floats(1e-6, 1e4))
+def test_e_occupation_closed_form_relative(g, delta):
+    # the dark-port leakage keeps full relative precision down to g = 1e-12
+    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [b_meter(g, delta)], "E", 3)
+    closed = -0.25 * math.expm1(-g * g / (4.0 * delta))
+    assert abs(occ - closed) <= 1e-12 * closed
+
+
+@settings(max_examples=60, deadline=None)
+@given(layout=layouts(), mix=st.floats(0.0, math.pi / 2), phase=st.floats(0.0, 2 * math.pi),
+       data=st.data())
+def test_occupation_sum_rules(layout, mix, phase, data):
+    # A + D = 1 after BS1, A + B + C = 1 after BS2, and so on, meters marginalized
+    state = PhotonState({"N": math.cos(mix), "N0": math.sin(mix) * complex(math.cos(phase),
+                                                                           math.sin(phase))})
+    layout = [dataclasses.replace(att, g=data.draw(COUPLING)) for att in layout]
+    circuit = build_nested_mzi()
+    for k in range(len(circuit) + 1):
+        live = [arm for arm, stage in LIVE if stage == k]
+        total = sum(arm_occupation(circuit, state, layout, arm, k) for arm in live)
+        assert abs(total - 1.0) < 1e-12
+

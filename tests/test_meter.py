@@ -1,9 +1,11 @@
-"""Meter algebra vs quadrature, plus readout-sampler checks."""
+"""Meter algebra vs quadrature, plus readout-sampler checks against the exact CDF."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from weaktrace import (
@@ -17,6 +19,7 @@ from weaktrace import (
     wave_norm2,
     wave_pointer_mean,
 )
+from weaktrace import meter
 
 import oracles
 
@@ -162,11 +165,67 @@ def test_sampling_kolmogorov_smirnov():
     delta = 0.8
     w = make_wave(pairs, delta)
     draws = sample_pointer_readout(w, 100_000, seed=12)
-    # reference CDF from the oracle's density on an independent, finer grid
-    span = 12 * math.sqrt(delta)
-    q = np.linspace(-span, 1.4 + span, 40001)
-    dens = np.abs(sum(c * oracles.gaussian(q, s, delta) for c, s in pairs)) ** 2
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * (q[1] - q[0]))))
-    cdf /= cdf[-1]
-    result = stats.kstest(draws, lambda x: np.interp(x, q, cdf))
+    result = stats.kstest(draws, lambda x: oracles.exact_readout_cdf(pairs, delta, x))
     assert result.pvalue > 1e-3
+
+
+def b_post_d2(g):
+    """D2-postselected B-arm meter wave: equal weights, nonnegative mixture."""
+    return [(-0.25, 0.0), (-0.25, g)]
+
+
+def c_post_d2(g):
+    """D2-postselected C-arm meter wave (weak value -1/2): negative cross term."""
+    return [(-0.75, 0.0), (0.25, g)]
+
+
+@pytest.mark.parametrize(
+    "pairs, delta",
+    [(b_post_d2(50.0), 1e-4), (b_post_d2(1e4), 1.0),
+     (c_post_d2(1.0), 1.0), (c_post_d2(0.5), 1.0), (c_post_d2(0.01), 1.0),
+     ([(1.0, 0.0), (-0.6 + 0.3j, 0.8), (0.4j, 2.0)], 1.0)],
+    ids=["B-g50-d1e-4", "B-g1e4-d1", "C-g1", "C-g0.5", "C-g0.01", "complex-3"],
+)
+def test_sampling_matches_exact_cdf(pairs, delta):
+    # separated modes (B) and signed densities (C) against the erf closed form;
+    # complex phases over three branches take the positive-part envelope
+    draws = sample_pointer_readout(make_wave(pairs, delta), 100_000, seed=31)
+    result = stats.kstest(draws, lambda x: oracles.exact_readout_cdf(pairs, delta, x))
+    assert result.pvalue > 1e-3
+
+
+def test_sampling_order_is_random():
+    # two separated modes of equal weight: any prefix must hit both evenly
+    draws = sample_pointer_readout(make_wave(b_post_d2(50.0), 1e-4), 10_000, seed=4)
+    upper = np.mean(draws[:1000] > 25.0)
+    assert abs(upper - 0.5) < 5 * math.sqrt(0.25 / 1000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(1e-3, 1.0),
+    beta=st.floats(1e-3, 1.0),
+    separation=st.floats(1e-4, 50.0),
+    delta=st.floats(1e-6, 1e4),
+    eps=st.sampled_from(meter._ENVELOPE_WIDENINGS),
+    extra=st.lists(st.floats(-1e4, 1e4), max_size=20),
+)
+def test_envelope_bound_dominates_density(alpha, beta, separation, delta, eps, extra):
+    # f = (alpha G_0 - beta G_g)^2 <= M N(mean, (delta/2)(1 + eps)) at every q
+    g = separation * math.sqrt(delta)
+    n2, moment = oracles.gaussian_gram([(alpha, 0.0), (-beta, g)], delta)
+    mean = moment / n2
+    log_m = meter._envelope_log_bound(alpha, beta, 0.0, g, delta, mean, eps)
+    var = 0.5 * delta * (1.0 + eps)
+    # f/h can peak far out in h's tail: offsets up to 1e4 standard deviations
+    far = np.geomspace(60.0, 1e4, 2000)
+    offsets = np.concatenate([-far, np.linspace(-60.0, 60.0, 4001), far, extra])
+    q = mean + math.sqrt(var) * offsets
+    # log |alpha G_0 - beta G_g| from the larger branch, free of cancellation
+    l0 = math.log(alpha) - q**2 / (2.0 * delta)
+    l1 = math.log(beta) - (q - g) ** 2 / (2.0 * delta)
+    with np.errstate(divide="ignore"):
+        log_f = 2.0 * (np.maximum(l0, l1) + np.log(-np.expm1(-np.abs(l0 - l1))))
+    log_f -= 0.5 * math.log(math.pi * delta)
+    log_h = -((q - mean) ** 2) / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
+    assert np.all(log_f <= log_m + log_h + 1e-12)
