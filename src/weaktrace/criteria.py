@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import MeterAttachment, PathSum, arm_occupation, postselect, run_pipeline
-from .meter import MeterConfig, NoPostselectedEventsError, _readout_chunks
+from .meter import MeterConfig, NoPostselectedEventsError, _readout_moments
 from .paths import (
     ARM_FIRST_STAGE,
     Circuit,
@@ -134,6 +134,9 @@ def extrapolate_even_limit(g_values, ratios) -> float:
     """
     pts = sorted(zip(g_values, ratios))[:3]
     xs = [g * g for g, _ in pts]
+    if len(set(xs)) < len(xs):
+        # e.g. couplings below 1e-162, whose squares all underflow to 0
+        raise ValueError("the three smallest couplings have equal squares in double precision")
     ys = [r for _, r in pts]
     limit = 0.0
     for i, yi in enumerate(ys):
@@ -219,12 +222,15 @@ def monte_carlo_weak_value(
 
     Each trial either postselects (with the detector probability) and then
     yields one projective pointer readout, or is discarded. The number of
-    successes is drawn binomially and the readouts i.i.d. from the exact
-    conditional density, which is distributionally identical to looping
-    over trials one by one. Readouts are consumed in fixed-size chunks whose
-    (count, mean, M2) are merged by Chan's pairwise update, so memory is
-    O(chunk) for any ``n`` and the standard error stays accurate when the
-    mean is large against the spread.
+    successes is drawn binomially, then the readouts' mean and M2 from their
+    exact law given the conditional density, which is distributionally
+    identical to looping over trials one by one. When the density is a
+    non-negative Gaussian mixture (arms A and B, separated waves) these
+    sufficient statistics are drawn per component in O(components) work,
+    whatever ``n``; a signed wave (arm C) keeps per-draw rejection, reduced
+    in fixed-size chunks. Groups are merged by Chan's pairwise update, so
+    memory is O(chunk) for any ``n`` and the standard error stays accurate
+    when the mean is large against the spread.
     """
     if not 1 <= n <= _MAX_TRIALS:
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
@@ -238,16 +244,7 @@ def monte_carlo_weak_value(
     n_sel = int(rng.binomial(n, min(sel.probability, 1.0)))
     if n_sel == 0:
         raise NoPostselectedEventsError(f"no successful postselections in {n} trials")
-    count, mean, m2 = 0, 0.0, 0.0
-    for x in _readout_chunks(sel.meter_waves[0], n_sel, rng):
-        x_mean = float(x.mean())
-        x -= x_mean
-        x_m2 = float(np.square(x, out=x).sum())
-        total = count + x.size
-        step = x_mean - mean
-        mean += step * x.size / total
-        m2 += x_m2 + step * step * count * x.size / total
-        count = total
+    _, mean, m2 = _readout_moments(sel.meter_waves[0], n_sel, rng)
     value = mean / g
     stderr = math.sqrt(m2 / (n_sel - 1) / n_sel) / g if n_sel > 1 else float("nan")
     return MonteCarloEstimate(value, stderr, g, n, n_sel)

@@ -19,13 +19,17 @@ The readout density is a finite mixture of the same kind,
     w_ij = (2 - [i = j]) Re(conj(c_i) c_j) exp(-(a_i - a_j)^2 / (4 delta)),
 
 so pointer readouts are drawn from it exactly, by rejection where some w_ij
-is negative. No quantity is ever discretized on a grid; the only error left
-is double rounding.
+is negative. When every w_ij >= 0 the mixture's components are Gaussians of
+one variance, so the count, mean and M2 of n readouts are drawn from their
+exact joint law in O(components) work, whatever n; a signed wave keeps
+per-draw rejection. No quantity is ever discretized on a grid; the only
+error left is double rounding.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +65,9 @@ class MeterConfig:
     delta: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        # a subnormal delta overflows 1/(4 delta), and the overlaps turn to NaN
+        if not (math.isfinite(self.delta) and self.delta >= sys.float_info.min):
+            raise ValueError(f"delta must be positive, finite and normal, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -251,28 +256,39 @@ def _envelope_log_bound(alpha, beta, a0, a1, delta, mean, eps) -> float:
     return 2.0 * best
 
 
+def _mixture_terms(w: MeterWave):
+    """Coefficients c, shifts a, and the weights w_ij and means of |w|^2."""
+    c = np.array([b.coefficient for b in w.branches], dtype=complex)
+    a = np.array([b.shift for b in w.branches], dtype=float)
+    i, j = np.triu_indices(len(c))
+    weights = np.where(i == j, 1.0, 2.0) * (c[i].conjugate() * c[j]).real
+    weights *= np.exp(-((a[i] - a[j]) ** 2) / (4.0 * w.config.delta))
+    return c, a, weights, 0.5 * (a[i] + a[j])
+
+
+def _live_gram(w: MeterWave) -> tuple[float, float]:
+    n2, moment = _wave_gram(w)
+    if n2 <= NORM2_FLOOR:
+        raise NoPostselectedEventsError("readout undefined: wave norm is zero")
+    return n2, moment
+
+
 def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
     """Yield ``n`` i.i.d. readouts from |w|^2 / norm2, in chunks of <= _CHUNK.
 
     With every mixture weight w_ij >= 0 the draws are exact mixture draws:
     multinomial component counts plus normal noise, so within a chunk they
-    come grouped by component. Otherwise proposals are accepted with
-    probability f/(M h) under an envelope M h >= f: the positive-weight
-    part of the mixture (M = 1), or, for two branches with a real negative
-    cross term, a single widened Gaussian whenever it accepts more. The last
+    come grouped by component. A two-branch wave with a complex relative
+    phase is split into a real signed wave plus one exact Gaussian. Otherwise
+    proposals are accepted with probability f/(M h) under an envelope
+    M h >= f: the positive-weight part of the mixture (M = 1), or, for two
+    branches, a single widened Gaussian whenever it accepts more. The last
     chunk keeps a uniformly random subset of its accepted draws, never a
     prefix, so the grouping cannot bias it.
     """
-    n2, moment = _wave_gram(w)
-    if n2 <= NORM2_FLOOR:
-        raise NoPostselectedEventsError("readout undefined: wave norm is zero")
+    n2, moment = _live_gram(w)
     delta = w.config.delta
-    c = np.array([b.coefficient for b in w.branches], dtype=complex)
-    a = np.array([b.shift for b in w.branches], dtype=float)
-    i, j = np.triu_indices(len(c))
-    weights = np.where(i == j, 1.0, 2.0) * (c[i].conjugate() * c[j]).real
-    weights *= np.exp(-((a[i] - a[j]) ** 2) / (4.0 * delta))
-    means = 0.5 * (a[i] + a[j])
+    c, a, weights, means = _mixture_terms(w)
     sd = math.sqrt(0.5 * delta)
     positive = weights > 0
     pos_weights, pos_means = weights[positive], means[positive]
@@ -289,9 +305,30 @@ def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
             n -= size
         return
 
+    if len(c) == 2 and (cross := c[0].conjugate() * c[1]).imag != 0:
+        # up to a global phase c0 = alpha, c1 = -beta e^{i phi} with cos phi > 0:
+        # |w|^2 = (alpha G_a0 - beta G_a1)^2 + 2 alpha beta (1 - cos phi) G_a0 G_a1,
+        # and the second part is overlap * N((a0 + a1)/2, delta/2)
+        real = MeterWave(
+            (GaussianBranch(abs(c[0]), a[0]), GaussianBranch(-abs(c[1]), a[1])), w.config
+        )
+        real_n2 = _wave_gram(real)[0]
+        # 2 alpha beta (1 - cos phi) = 2 Im^2 / (|cross| - Re), free of cancellation
+        overlap = math.exp(-((a[0] - a[1]) ** 2) / (4.0 * delta))
+        extra = 2.0 * cross.imag**2 / (abs(cross) - cross.real) * overlap
+        n_real = int(rng.binomial(n, real_n2 / (real_n2 + extra))) if real_n2 > NORM2_FLOOR else 0
+        if n_real:
+            yield from _readout_chunks(real, n_real, rng)
+        n -= n_real
+        while n > 0:
+            size = min(n, _CHUNK)
+            yield 0.5 * (a[0] + a[1]) + sd * rng.standard_normal(size)
+            n -= size
+        return
+
     acceptance = n2 / pos_weights.sum()
     envelope = None
-    if len(c) == 2 and (c[0].conjugate() * c[1]).imag == 0:
+    if len(c) == 2:
         mean = moment / n2
         alpha, beta = abs(c[0]), abs(c[1])
         for eps in _ENVELOPE_WIDENINGS:
@@ -321,6 +358,46 @@ def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
         if x.size:
             yield x
             n -= x.size
+
+
+def _chan_merge(acc, count_b: int, mean_b: float, m2_b: float):
+    """Chan's pairwise update of (count, mean, M2) with a second group's statistics."""
+    count, mean, m2 = acc
+    total = count + count_b
+    step = mean_b - mean
+    return total, mean + step * count_b / total, m2 + (m2_b + step * step * count * count_b / total)
+
+
+def _readout_moments(w: MeterWave, n: int, rng: np.random.Generator):
+    """(count, mean, M2) of ``n`` i.i.d. readouts from |w|^2 / norm2.
+
+    The statistics have exactly the law they would have if the readouts
+    were drawn and summed. With every mixture weight w_ij >= 0 the readouts
+    never exist: one multinomial gives the component counts n_k, and each
+    component's readouts are N(mu_k, sigma^2), sigma^2 = delta/2, whose
+    sample mean ~ N(mu_k, sigma^2/n_k) and within-component sum of squares
+    ~ sigma^2 chi^2(n_k - 1) are independent (Cochran's theorem), so the
+    cost is O(components) for any ``n``. A signed wave is drawn and reduced
+    chunk by chunk. Either way the groups are merged by Chan's update.
+    """
+    _, _, weights, means = _mixture_terms(w)
+    acc = (0, 0.0, 0.0)
+    if (weights < 0).any():
+        for x in _readout_chunks(w, n, rng):
+            x_mean = float(x.mean())
+            x -= x_mean
+            acc = _chan_merge(acc, x.size, x_mean, float(np.square(x, out=x).sum()))
+        return acc
+    _live_gram(w)
+    counts = rng.multinomial(n, weights / weights.sum())
+    live = counts > 0
+    k, delta = counts[live], w.config.delta
+    sample_means = means[live] + math.sqrt(0.5 * delta) * rng.standard_normal(k.size) / np.sqrt(k)
+    # sigma^2 chi^2(k - 1) = 2 sigma^2 Gamma((k - 1)/2); shape 0 (k = 1) gives 0
+    sums_of_squares = delta * rng.gamma(0.5 * (k - 1))
+    for group in zip(k.tolist(), sample_means.tolist(), sums_of_squares.tolist()):
+        acc = _chan_merge(acc, *group)
+    return acc
 
 
 def sample_with_rng(w: MeterWave, n: int, rng: np.random.Generator) -> np.ndarray:

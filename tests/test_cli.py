@@ -1,10 +1,14 @@
 """Command-line surface: payloads, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weaktrace import (
     MeterAttachment,
@@ -208,7 +212,9 @@ def test_invalid_configuration_exit_code(capsys):
     assert exc.value.code == 2
     for argv in (["mean-values", "--g", "nan"], ["mean-values", "--g", "inf"],
                  ["danan", "--g", "nan"], ["mean-values", "--delta", "inf"],
-                 ["sweep", "--arm", "A", "--g", "1", "--mc-n", "100000000000000000000000"]):
+                 ["sweep", "--arm", "A", "--g", "1", "--mc-n", "100000000000000000000000"],
+                 ["discontinuity", "--g-grid", "1e-160,1e-165,1e-170"],
+                 ["sweep", "--arm", "B", "--g", "1e-200,1e-201"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "invalid configuration" in err
@@ -239,3 +245,49 @@ def test_no_postselected_events_exit_code(capsys):
     )
     assert code == 3
     assert "no postselected events" in err
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0", "5e-324", "1e-170", "1e-200", "1e",
+                     "abc", "", "0x10"]),
+)
+GRID = st.lists(NUMBER, min_size=1, max_size=4).map(",".join)
+# never a large in-range trial count: 10**23 is out of range and must exit 2
+MC_N = st.one_of(st.sampled_from([-1, 0, 10**23]), st.integers(1, 10**4)).map(str)
+ARM = st.sampled_from(["A", "B", "C", "D", "E", "N", "Q", ""])
+POST = st.sampled_from(["D1", "D2", "D3", "D4"])
+
+
+def _options(**values):
+    return [f"--{name.replace('_', '-')}={v}" for name, v in values.items() if v is not None]
+
+
+ARGV = st.one_of(
+    st.builds(lambda arm, post, g, delta, mc_n, seed: ["sweep", *_options(
+        arm=arm, post=post, g=g, delta=delta, mc_n=mc_n, seed=seed)],
+        ARM, POST, GRID, st.none() | NUMBER, st.none() | MC_N, st.none() | st.integers(-2, 2**40)),
+    st.builds(lambda arm, g, delta: ["mean-values", *_options(arm=arm, g=g, delta=delta)],
+              st.none() | st.lists(ARM, min_size=1, max_size=3).map(",".join),
+              st.none() | NUMBER, st.none() | NUMBER),
+    st.builds(lambda grid, delta: ["discontinuity", *_options(g_grid=grid, delta=delta)],
+              st.none() | GRID, st.none() | NUMBER),
+    st.builds(lambda post, delta: ["weak-values", *_options(post=post, delta=delta)],
+              POST, st.none() | NUMBER),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGV, as_json=st.booleans())
+def test_fuzzed_argv_exit_codes(argv, as_json):
+    # malformed, non-finite and out-of-range input exits 2 (argparse's usage
+    # errors arrive as SystemExit(2)); nothing may escape as a traceback
+    argv = argv + ["--json"] if as_json else argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), argv

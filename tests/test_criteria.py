@@ -195,6 +195,16 @@ def test_monte_carlo_stderr_when_mean_dominates_spread():
     assert abs(est.value - 1.0) < 5 * est.stderr
 
 
+def test_monte_carlo_signed_wave_keeps_per_draw_stream():
+    # C post D2 (weak value -1/2) is rejection-sampled draw by draw; its
+    # estimates are pinned to the chunked reduction's digits for these seeds
+    for g, seed, value, stderr in [(1.0, 5, -0.25108459651557385, 0.0011049712715854013),
+                                   (0.01, 6, -0.34772537573193596, 0.14127836682281805)]:
+        est = monte_carlo_weak_value("C", "D2", g=g, delta=1.0, n=1_000_000, seed=seed)
+        assert abs(est.value / value - 1.0) < 1e-12
+        assert abs(est.stderr / stderr - 1.0) < 1e-12
+
+
 def test_monte_carlo_trial_count_range():
     for n in (0, 2**63):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Meter algebra vs quadrature, plus readout-sampler checks against the exact CDF."""
 
+import cmath
 import math
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_overlap_scale_symmetry():
 def test_overlap_rejects_bad_delta():
     with pytest.raises(ValueError):
         branch_overlap(0.0, 1.0, 0.0)
-    for delta in (-1.0, float("inf"), float("nan")):
+    for delta in (-1.0, float("inf"), float("nan"), 5e-324):
         with pytest.raises(ValueError):
             MeterConfig(delta)
 
@@ -183,12 +184,16 @@ def c_post_d2(g):
     "pairs, delta",
     [(b_post_d2(50.0), 1e-4), (b_post_d2(1e4), 1.0),
      (c_post_d2(1.0), 1.0), (c_post_d2(0.5), 1.0), (c_post_d2(0.01), 1.0),
-     ([(1.0, 0.0), (-0.6 + 0.3j, 0.8), (0.4j, 2.0)], 1.0)],
-    ids=["B-g50-d1e-4", "B-g1e4-d1", "C-g1", "C-g0.5", "C-g0.01", "complex-3"],
+     ([(1.0, 0.0), (-0.6 + 0.3j, 0.8), (0.4j, 2.0)], 1.0),
+     ([(1.0, 0.0), (-cmath.exp(0.01j), 0.001)], 1.0),
+     ([(0.75, 0.0), (-0.25 * cmath.exp(1.2j), 0.3)], 1.0)],
+    ids=["B-g50-d1e-4", "B-g1e4-d1", "C-g1", "C-g0.5", "C-g0.01", "complex-3",
+         "phase-0.01", "phase-1.2"],
 )
 def test_sampling_matches_exact_cdf(pairs, delta):
     # separated modes (B) and signed densities (C) against the erf closed form;
-    # complex phases over three branches take the positive-part envelope
+    # complex phases over three branches take the positive-part envelope, two
+    # branches with a complex relative phase a real signed part plus a Gaussian
     draws = sample_pointer_readout(make_wave(pairs, delta), 100_000, seed=31)
     result = stats.kstest(draws, lambda x: oracles.exact_readout_cdf(pairs, delta, x))
     assert result.pvalue > 1e-3
@@ -229,3 +234,55 @@ def test_envelope_bound_dominates_density(alpha, beta, separation, delta, eps, e
     log_f -= 0.5 * math.log(math.pi * delta)
     log_h = -((q - mean) ** 2) / (2.0 * var) - 0.5 * math.log(2.0 * math.pi * var)
     assert np.all(log_f <= log_m + log_h + 1e-12)
+
+
+def a_post_d2(g):
+    """D2-postselected A-arm meter wave: a single Gaussian at shift g."""
+    return [(0.5, g)]
+
+
+def test_readout_moments_single_component_law():
+    # one Gaussian: sqrt(n)(mean - mu)/sigma ~ N(0, 1) and M2/sigma^2 ~ chi2(n - 1)
+    g, delta, n = 1.0, 1.0, 10
+    w = make_wave(a_post_d2(g), delta)
+    sigma = math.sqrt(delta / 2.0)
+    moments = [meter._readout_moments(w, n, np.random.default_rng(s)) for s in range(2000)]
+    assert all(count == n for count, _, _ in moments)
+    z = [(mean - g) * math.sqrt(n) / sigma for _, mean, _ in moments]
+    chi2 = [m2 / sigma**2 for _, _, m2 in moments]
+    assert stats.kstest(z, "norm").pvalue > 1e-3
+    assert stats.kstest(chi2, stats.chi2(n - 1).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "pairs, delta", [(b_post_d2(1.0), 1.0), (b_post_d2(50.0), 1e-4)], ids=["B-g1", "B-g50-d1e-4"]
+)
+def test_readout_moments_match_materialised_draws(pairs, delta):
+    # (mean, M2) drawn per component against the same statistics of real draws
+    n = 10
+    w = make_wave(pairs, delta)
+    drawn = np.array([meter._readout_moments(w, n, np.random.default_rng(s))[1:]
+                      for s in range(2000)])
+    direct = []
+    for s in range(2000):
+        x = meter.sample_with_rng(w, n, np.random.default_rng(10**6 + s))
+        direct.append((x.mean(), np.sum((x - x.mean()) ** 2)))
+    direct = np.array(direct)
+    for column in range(2):
+        assert stats.ks_2samp(drawn[:, column], direct[:, column]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "pairs, delta", [(a_post_d2(1.0), 1.0), (b_post_d2(1.0), 1.0), (b_post_d2(50.0), 1e-4)]
+)
+def test_readout_moments_single_draw(pairs, delta):
+    for seed in range(20):
+        count, mean, m2 = meter._readout_moments(
+            make_wave(pairs, delta), 1, np.random.default_rng(seed)
+        )
+        assert count == 1 and math.isfinite(mean) and m2 == 0.0
+
+
+def test_readout_moments_zero_norm_raises():
+    with pytest.raises(NoPostselectedEventsError):
+        meter._readout_moments(make_wave([(0.5, 0.0), (-0.5, 0.0)]), 10, np.random.default_rng(0))
