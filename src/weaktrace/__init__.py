@@ -33,7 +33,6 @@ from .evolution import (
     MeterAttachment,
     PathSum,
     PostselectResult,
-    apply_measurement,
     arm_occupation,
     postselect,
     run_pipeline,

@@ -33,10 +33,6 @@ from .paths import (
     projector_expectation,
 )
 
-#: Stage after which each arm's projector (and meter) is inserted: the first
-#: stage at which the arm is live. N sits at stage 0, before any splitter.
-ARM_PROJECTOR_STAGE = ARM_FIRST_STAGE
-
 _DENOM_FLOOR = 1e-15
 
 #: Largest trial count: numpy's binomial sampler takes a signed 64-bit count.
@@ -59,7 +55,7 @@ def _projected_transition(
     circuit: Circuit, in_state: PhotonState, arm: str, detector: str
 ) -> complex:
     """<detector| U(last)..U(k+1) Pi_arm U(k)..U(1) |in> with k the arm's stage."""
-    k = ARM_PROJECTOR_STAGE[arm]
+    k = ARM_FIRST_STAGE[arm]
     mid = evolve_to_stage(circuit, in_state, k)
     projected = PhotonState({arm: mid.amplitude(arm)})
     for bs in circuit.stages[k:]:
@@ -111,7 +107,7 @@ def weak_value_tsvf(
     """Weak value from the two-state pairing <Phi|Pi_arm|Psi> / <Phi|Psi>."""
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    k = ARM_PROJECTOR_STAGE[arm]
+    k = ARM_FIRST_STAGE[arm]
     forward = evolve_to_stage(circuit, in_state, k)
     backward = tsvf_backward_state(detector, k, circuit)
     den = sum(
@@ -230,7 +226,9 @@ def monte_carlo_weak_value(
     whatever ``n``; a signed wave (arm C) keeps per-draw rejection, reduced
     in fixed-size chunks. Groups are merged by Chan's pairwise update, so
     memory is O(chunk) for any ``n`` and the standard error stays accurate
-    when the mean is large against the spread.
+    when the mean is large against the spread. An estimate or (for more
+    than one postselected trial) a standard error that is not finite in
+    double precision raises ValueError.
     """
     if not 1 <= n <= _MAX_TRIALS:
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
@@ -247,6 +245,8 @@ def monte_carlo_weak_value(
     _, mean, m2 = _readout_moments(sel.meter_waves[0], n_sel, rng)
     value = mean / g
     stderr = math.sqrt(m2 / (n_sel - 1) / n_sel) / g if n_sel > 1 else float("nan")
+    if not (math.isfinite(value) and (math.isfinite(stderr) or n_sel == 1)):
+        raise ValueError(f"Monte Carlo estimate at g={g}, delta={delta} is out of double range")
     return MonteCarloEstimate(value, stderr, g, n, n_sel)
 
 
@@ -280,7 +280,7 @@ def weak_mean_value(
     in_state = _default_input(in_state)
     js = run_pipeline(circuit, in_state, [MeterAttachment("probe", arm, g, MeterConfig(delta))])
     mean = js.pointer_mean("probe")
-    k = ARM_PROJECTOR_STAGE[arm]
+    k = ARM_FIRST_STAGE[arm]
     limit = projector_expectation(evolve_to_stage(circuit, in_state, k), arm)
     ratio = mean / g if g > 0 else None
     return MeanValueRecord(arm, g, mean, ratio, limit)
@@ -373,7 +373,7 @@ def discontinuity_report(
     g_probe = g_grid[0]
     js = run_pipeline(circuit, in_state, [MeterAttachment("probe", "B", g_probe, config)])
     sel = postselect(js, "D2")
-    shifted = [b for b in sel.branches if abs(b.shifts[0] - g_probe) < 1e-12]
+    shifted = [b for b in sel.branches if b.shifts[0] == g_probe]
     via_e = _b_route_amplitude_via_e(circuit, in_state)
     coupled = sum(b.coefficient for b in shifted)
     b_signal_via_e = bool(abs(coupled - via_e) < 1e-12)

@@ -19,12 +19,17 @@ Path shifts are G times the incidence rows; probabilities and pointer
 moments come from the closed-form Gram sums of ``meter.gram_sums``. Paths
 that end in the same arm with exactly equal shifts over the batch are
 merged by summing their amplitudes, and exact cancellations drop out, so
-the undisturbed dark port stays exactly empty.
+the undisturbed dark port stays exactly empty. No tolerance decides a
+merge: shifts that differ in any bit stay separate terms, however small g
+is against the meter width.
 
 Several attachments may share a ``meter_id``: they then kick the same
 pointer (the shared transverse-deviation meter of the vibrating-mirror
 realization), with shifts adding up along each photon path.
-``run_pipeline`` is the batch-of-one view that returns a ``JointState``.
+``run_pipeline`` is the batch-of-one view that returns a ``JointState``
+holding those merged terms; it is the only joint-state representation.
+Postselection reads a detector arm's terms, and ``PostselectResult``
+factors a multi-meter conditional state exactly, by grouping equal shifts.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from .meter import (
     MeterConfig,
     MeterWave,
     NoPostselectedEventsError,
-    SHIFT_MERGE_TOL,
     gram_sums,
     wave_norm2,
 )
@@ -94,15 +98,6 @@ class MeterAttachment:
             )
 
 
-def _meter_slot(meter_ids, configs, att: MeterAttachment) -> int:
-    if att.meter_id not in meter_ids:
-        raise ValueError(f"meter {att.meter_id!r} has no slot in this state")
-    slot = meter_ids.index(att.meter_id)
-    if configs[slot].delta != att.config.delta:
-        raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
-    return slot
-
-
 @dataclass(frozen=True)
 class JointBranch:
     """Complex coefficient with one accumulated pointer shift per meter."""
@@ -124,28 +119,16 @@ def _branch_gram(branches, configs) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class JointState:
-    """Entangled photon-meter state: per arm, its joint branches."""
+    """Entangled photon-meter state: per arm, its joint branches.
+
+    The branches are the merged terms of ``PathSum.merged`` for one coupling
+    vector (see ``run_pipeline``): distinct exact shift tuples, no zeros.
+    """
 
     components: dict[str, tuple[JointBranch, ...]]
     meter_ids: tuple[str, ...]
     configs: tuple[MeterConfig, ...]
     stage: int = 0
-
-    @classmethod
-    def from_photon(
-        cls,
-        state: PhotonState,
-        meter_ids: tuple[str, ...] = (),
-        configs: tuple[MeterConfig, ...] = (),
-        stage: int = 0,
-    ) -> "JointState":
-        zeros = (0.0,) * len(meter_ids)
-        comps = {
-            arm: (JointBranch(complex(c), zeros),)
-            for arm, c in state.amplitudes.items()
-            if c != 0
-        }
-        return cls(comps, tuple(meter_ids), tuple(configs), stage)
 
     def component_norm2(self, arm: str) -> float:
         return _branch_gram(self.components.get(_check_arm(arm), ()), self.configs)[0]
@@ -165,28 +148,6 @@ class JointState:
         if n2 <= 1e-30:
             raise NoPostselectedEventsError("state has zero norm")
         return sum(float(m[slot]) for _, m in grams) / n2
-
-
-def apply_measurement(js: JointState, att: MeterAttachment) -> JointState:
-    """Shift the meter branch displacements on the attachment's arm by g.
-
-    Exact in g: the target arm's component is translated rigidly, every
-    other component is untouched. The meter must already have a slot in
-    ``js`` (see ``JointState.from_photon``) with the same delta.
-    """
-    if not ARM_FIRST_STAGE[att.arm] <= js.stage <= ARM_LAST_STAGE[att.arm]:
-        raise ValueError(f"arm {att.arm} is not live at stage {js.stage}")
-    slot = _meter_slot(js.meter_ids, js.configs, att)
-    comps = dict(js.components)
-    if att.arm in comps:
-        comps[att.arm] = tuple(
-            JointBranch(
-                b.coefficient,
-                b.shifts[:slot] + (b.shifts[slot] + att.g,) + b.shifts[slot + 1:],
-            )
-            for b in comps[att.arm]
-        )
-    return JointState(comps, js.meter_ids, js.configs, js.stage)
 
 
 @dataclass(frozen=True)
@@ -233,7 +194,10 @@ class PathSum:
             if att.meter_id not in meter_ids:
                 meter_ids.append(att.meter_id)
                 configs.append(att.config)
-            slots.append(_meter_slot(meter_ids, configs, att))
+            slot = meter_ids.index(att.meter_id)
+            if configs[slot].delta != att.config.delta:
+                raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
+            slots.append(slot)
             key = (att.insertion_stage, att.arm)
             acting[key] = acting.get(key, ()) + (a,)
 
@@ -360,9 +324,13 @@ class PostselectResult:
         """One un-normalized MeterWave per meter.
 
         Exact for a single meter. With several meters the conditional state
-        must factorize across them (checked via the coefficient matrix);
-        each factor is returned scaled so its squared norm equals the
-        postselection probability, with an arbitrary global phase.
+        must factorize across them: its coefficient matrix M (one meter's
+        shifts against the other meters' shifts, grouped by exact value) is
+        factored as u v^T through its largest entry M[i0, j0], u_i = M[i, j0],
+        v_j = M[i0, j] / M[i0, j0], and EntangledMetersError is raised when
+        max |M - u v^T| exceeds 1e-10 |M[i0, j0]|. Each factor is returned
+        scaled so its squared norm equals the postselection probability,
+        with an arbitrary global phase.
         """
         if len(self.meter_ids) == 1:
             return (
@@ -376,35 +344,26 @@ class PostselectResult:
     def _factor_slot(self, slot: int) -> MeterWave:
         if not self.branches:
             return MeterWave((), self.configs[slot])
-        shifts_k: list[float] = []
-        rest: list[tuple[float, ...]] = []
+        # row and column indices in order of first appearance; float keys
+        # compare by value, so equal shifts share an index
+        rows: dict[float, int] = {}
+        cols: dict[tuple[float, ...], int] = {}
+        cells = []
         for b in self.branches:
-            s = b.shifts[slot]
-            r = b.shifts[:slot] + b.shifts[slot + 1:]
-            if all(abs(s - x) >= SHIFT_MERGE_TOL for x in shifts_k):
-                shifts_k.append(s)
-            if all(
-                any(abs(a - b_) >= SHIFT_MERGE_TOL for a, b_ in zip(r, x)) for x in rest
-            ):
-                rest.append(r)
-        mat = np.zeros((len(shifts_k), len(rest)), dtype=complex)
-        for b in self.branches:
-            i = next(i for i, s in enumerate(shifts_k) if abs(b.shifts[slot] - s) < SHIFT_MERGE_TOL)
-            r = b.shifts[:slot] + b.shifts[slot + 1:]
-            j = next(
-                j for j, x in enumerate(rest)
-                if all(abs(a - b_) < SHIFT_MERGE_TOL for a, b_ in zip(r, x))
-            )
-            mat[i, j] += b.coefficient
-        u, s, _ = np.linalg.svd(mat)
-        if s.size > 1 and s[1] > 1e-10 * s[0]:
+            i = rows.setdefault(b.shifts[slot], len(rows))
+            j = cols.setdefault(b.shifts[:slot] + b.shifts[slot + 1:], len(cols))
+            cells.append((i, j, b.coefficient))
+        mat = np.zeros((len(rows), len(cols)), dtype=complex)
+        for i, j, c in cells:
+            mat[i, j] += c
+        i0, j0 = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
+        u = mat[:, j0]
+        residual = mat - np.outer(u, mat[i0] / mat[i0, j0])
+        if np.abs(residual).max() > 1e-10 * abs(mat[i0, j0]):
             raise EntangledMetersError(
                 f"meter {self.meter_ids[slot]!r}: conditional state is entangled across meters"
             )
-        raw = MeterWave(
-            tuple(GaussianBranch(complex(c), sh) for c, sh in zip(u[:, 0], shifts_k)),
-            self.configs[slot],
-        )
+        raw = MeterWave(tuple(map(GaussianBranch, u, rows)), self.configs[slot])
         n2 = wave_norm2(raw)
         scale = np.sqrt(self.probability / n2) if n2 > 0 else 0.0
         return MeterWave(

@@ -22,8 +22,12 @@ so pointer readouts are drawn from it exactly, by rejection where some w_ij
 is negative. When every w_ij >= 0 the mixture's components are Gaussians of
 one variance, so the count, mean and M2 of n readouts are drawn from their
 exact joint law in O(components) work, whatever n; a signed wave keeps
-per-draw rejection. No quantity is ever discretized on a grid; the only
-error left is double rounding.
+per-draw rejection. A ``MeterWave`` merges only branches whose shifts are
+exactly equal, so two branches far closer than the meter width stay two
+branches; the Gram sums and the signed sampler's envelope ratio contain no
+1/(a_i - a_j) and stay accurate for them. No quantity is ever discretized
+on a grid and no tolerance merges branches; the only error left is double
+rounding.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Branch shifts closer than this are the same physical displacement.
-SHIFT_MERGE_TOL = 1e-14
 
 #: Below this squared norm a conditional wave has no postselected events.
 NORM2_FLOOR = 1e-30
@@ -78,31 +79,26 @@ class GaussianBranch:
     shift: float
 
 
-def _merge_branches(branches) -> tuple[GaussianBranch, ...]:
-    merged: list[GaussianBranch] = []
-    for b in branches:
-        for i, m in enumerate(merged):
-            if abs(b.shift - m.shift) < SHIFT_MERGE_TOL:
-                merged[i] = GaussianBranch(m.coefficient + b.coefficient, m.shift)
-                break
-        else:
-            merged.append(GaussianBranch(complex(b.coefficient), float(b.shift)))
-    # exact cancellations (destructive interference) leave no branch behind
-    return tuple(b for b in merged if b.coefficient != 0)
-
-
 @dataclass(frozen=True)
 class MeterWave:
     """Finite combination of shifted Gaussians sharing one MeterConfig.
 
-    Branches with coincident shifts are merged on construction.
+    Branches with exactly equal shifts are merged on construction by summing
+    their coefficients, and exact-zero sums (destructive interference) are
+    dropped. Shifts that differ in any bit stay separate branches.
     """
 
     branches: tuple[GaussianBranch, ...]
     config: MeterConfig
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", _merge_branches(self.branches))
+        merged: dict[float, complex] = {}
+        for b in self.branches:
+            # adding 0.0 turns -0.0 into 0.0, as in PathSum.merged
+            shift = float(b.shift) + 0.0
+            merged[shift] = merged.get(shift, 0j) + complex(b.coefficient)
+        branches = tuple(GaussianBranch(c, s) for s, c in merged.items() if c != 0)
+        object.__setattr__(self, "branches", branches)
 
     @classmethod
     def initial(cls, config: MeterConfig) -> "MeterWave":
@@ -140,21 +136,21 @@ def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
 
     The sums are compensated: with C = sum_p c_p and every overlap written
     as 1 + expm1(...), the norm is |C|^2 + sum_{p<q} 2 Re(conj(c_p) c_q)
-    expm1(-d_pq^2 / 4 delta). A dark port, where C = 0 and the overlaps
-    are 1 - O(g^2), then keeps full relative precision at any small g
-    instead of cancelling to zero.
+    expm1(-sum_m (d_pqm / 2 sqrt(delta_m))^2). A dark port, where C = 0
+    and the overlaps are 1 - O(g^2), then keeps full relative precision at
+    any small g instead of cancelling to zero.
     """
     c = [complex(x) for x in coefficients]
     s = np.asarray(shifts, dtype=float)
-    neg_inv4d = -0.25 / np.asarray(deltas, dtype=float)
+    # scaling each distance before squaring keeps a subnormal d^2 out of it
+    inv_2sd = 0.5 / np.sqrt(np.asarray(deltas, dtype=float))
     total = sum(c, 0j)
     norm2 = np.full(s.shape[1], abs(total) ** 2)
     moment = np.zeros(s.shape[1:])
     for p, cp in enumerate(c):
         moment += (cp.conjugate() * total).real * s[p]
         for q in range(p + 1, len(c)):
-            d = s[p] - s[q]
-            excess = np.expm1((d * d) @ neg_inv4d)  # overlap - 1
+            excess = np.expm1(-np.square((s[p] - s[q]) * inv_2sd).sum(axis=-1))  # overlap - 1
             cross = 2.0 * (cp.conjugate() * c[q]).real
             norm2 += cross * excess
             moment += (0.5 * cross * excess)[:, None] * (s[p] + s[q])
@@ -335,8 +331,16 @@ def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
             log_m = _envelope_log_bound(alpha, beta, a[0], a[1], delta, mean, eps)
             if n2 * math.exp(-log_m) > acceptance:
                 acceptance = n2 * math.exp(-log_m)
-                terms = _envelope_terms(alpha, beta, a[0], a[1], delta, mean, eps)
-                envelope = (mean, sd * math.sqrt(1.0 + eps), log_m, terms)
+                envelope = (eps, log_m)
+    if envelope is not None:
+        eps, log_m = envelope
+        slope, offset, _, _, const = _envelope_terms(alpha, beta, a[0], a[1], delta, mean, eps)
+        sd_h = sd * math.sqrt(1.0 + eps)
+        # 2 k (t - t_a)^2 = (q - q_a)^2 eps / ((1 + eps) delta) has no gap in
+        # it, so it keeps its precision when the branches nearly coincide and
+        # t varies by less than an ulp over the density
+        q_a = a[0] + (a[0] - mean) / eps
+        curvature = eps / ((1.0 + eps) * delta)
 
     while n > 0:
         size = min(_CHUNK, math.ceil(n / acceptance))
@@ -348,10 +352,10 @@ def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
             np.exp(-e, out=e)
             ratio = (e @ weights) / (e[:, positive] @ pos_weights)
         else:
-            mean, sd_h, log_m, (slope, offset, k, t_a, const) = envelope
             x = mean + sd_h * rng.standard_normal(size)
-            t = slope * x + offset
-            ratio = np.expm1(t) ** 2 * np.exp(2.0 * const - log_m - 2.0 * k * (t - t_a) ** 2)
+            ratio = np.expm1(slope * x + offset) ** 2 * np.exp(
+                2.0 * const - log_m - curvature * (x - q_a) ** 2
+            )
         x = np.compress(rng.random(size) < ratio, x)
         if x.size > n:
             x = x[rng.choice(x.size, n, replace=False)]

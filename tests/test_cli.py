@@ -108,8 +108,9 @@ def test_sweep_with_monte_carlo(capsys):
 
 
 def test_discontinuity_rows(capsys):
-    # the second grid reaches g = 1e-8, where the leakage is ~6e-18
-    for grid in ("0.5,0.1,0.01", "1e-3,1e-6,1e-8"):
+    # the second grid reaches g = 1e-8, where the leakage is ~6e-18; in the
+    # third the coupled shift g lies within 1e-12 of the uncoupled shift 0
+    for grid in ("0.5,0.1,0.01", "1e-3,1e-6,1e-8", "1e-13,1e-14,1e-15"):
         code, out, _ = run_cli(capsys, "discontinuity", "--g-grid", grid)
         assert code == 0
         meta, header, rows = parse_csv(out)
@@ -124,6 +125,20 @@ def test_discontinuity_rows(capsys):
         assert float(zero[1]) == 0.0
         assert zero[2] == ""  # ratio undefined at g = 0
         assert meta["discontinuous"] == "True"
+        assert meta["b_signal_via_e"] == "True"
+
+
+def test_discontinuity_subnormal_distances(capsys):
+    # g^2 is subnormal at g = 1e-160: the exponent is formed as -(g / 2 sqrt(delta))^2
+    code, out, _ = run_cli(capsys, "discontinuity", "--g-grid=1e-150,1e-155,1e-160",
+                           "--delta=1e-300")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    *finite, zero = rows
+    for row in finite:
+        closed = -0.25 * math.expm1(-((float(row[0]) / 2e-150) ** 2))
+        assert abs(float(row[1]) - closed) <= 1e-12 * closed
+    assert float(zero[1]) == 0.0
 
 
 def test_discontinuity_json(capsys):
@@ -214,7 +229,10 @@ def test_invalid_configuration_exit_code(capsys):
                  ["danan", "--g", "nan"], ["mean-values", "--delta", "inf"],
                  ["sweep", "--arm", "A", "--g", "1", "--mc-n", "100000000000000000000000"],
                  ["discontinuity", "--g-grid", "1e-160,1e-165,1e-170"],
-                 ["sweep", "--arm", "B", "--g", "1e-200,1e-201"]):
+                 ["sweep", "--arm", "B", "--g", "1e-200,1e-201"],
+                 # the Monte Carlo mean or its stderr overflows double range
+                 ["sweep", "--arm", "C", "--g=1e300", "--delta=1e-300", "--mc-n=100"],
+                 ["sweep", "--arm", "C", "--g=1e-300", "--delta=1e300", "--mc-n=100"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2
         assert "invalid configuration" in err

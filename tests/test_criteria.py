@@ -177,10 +177,13 @@ def test_monte_carlo_protocol_b_arm():
 
 
 def test_monte_carlo_a_arm_matches_operational():
-    # C post D2 is the anomalous (signed) wave, sampled by rejection
-    for arm in ("A", "C"):
-        record = weak_value_operational(arm, "D2", [0.2], delta=1.0)
-        est = monte_carlo_weak_value(arm, "D2", g=0.2, delta=1.0, n=100_000, seed=7)
+    # C post D2 is the anomalous (signed) wave, sampled by rejection; at
+    # g = 5e-15, delta = 1e-30 the branches are 5 meter widths apart although
+    # their shifts differ by less than 1e-14, and must not be merged
+    for arm, g, delta in [("A", 0.2, 1.0), ("C", 0.2, 1.0), ("B", 5e-15, 1e-30),
+                          ("C", 5e-15, 1e-30)]:
+        record = weak_value_operational(arm, "D2", [g], delta=delta)
+        est = monte_carlo_weak_value(arm, "D2", g=g, delta=delta, n=100_000, seed=7)
         assert abs(est.value - record.estimates[0][1]) < 5 * est.stderr
 
 

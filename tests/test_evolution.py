@@ -5,21 +5,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
     ARMS,
     DETECTORS,
     EntangledMetersError,
-    JointState,
+    JointBranch,
     MeterAttachment,
     MeterConfig,
     PathSum,
     PhotonState,
     PipelineError,
+    PostselectResult,
     apply_beamsplitter,
-    apply_measurement,
     arm_occupation,
     build_nested_mzi,
     evolve_to_stage,
@@ -35,46 +35,49 @@ CFG = MeterConfig(1.0)
 SQ2 = math.sqrt(2.0)
 
 
-def b_meter(g, delta=1.0, meter_id="probe"):
-    return MeterAttachment(meter_id, "B", g, MeterConfig(delta))
+def b_meter(g, delta=1.0, meter_id="probe", insert_after=None):
+    return MeterAttachment(meter_id, "B", g, MeterConfig(delta), insert_after)
+
+
+def inner_arms(attachments):
+    """Joint state after BS2 (arms A, B, C) with the given couplings."""
+    return run_pipeline(build_nested_mzi(), PhotonState.source(), attachments, upto=2)
 
 
 def test_zero_coupling_is_identity():
-    circuit = build_nested_mzi()
-    inner = evolve_to_stage(circuit, PhotonState.source(), 2)
-    js = JointState.from_photon(inner, ("m",), (CFG,), stage=2)
-    out = apply_measurement(js, b_meter(0.0, meter_id="m"))
-    assert out.components == js.components
+    inner = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 2)
+    js = inner_arms([b_meter(0.0, meter_id="m", insert_after=2)])
+    assert set(js.components) == set(inner.amplitudes)
+    for arm, branches in js.components.items():
+        (branch,) = branches
+        assert branch.shifts == (0.0,)
+        assert branch.coefficient == inner.amplitude(arm)
 
 
 def test_coupling_splits_off_shifted_branch():
-    circuit = build_nested_mzi()
-    inner = evolve_to_stage(circuit, PhotonState.source(), 2)
-    js = JointState.from_photon(inner, ("m",), (CFG,), stage=2)
-    out = apply_measurement(js, b_meter(0.4, meter_id="m"))
-    (b_branch,) = out.components["B"]
+    js = inner_arms([b_meter(0.4, meter_id="m", insert_after=2)])
+    (b_branch,) = js.components["B"]
     assert b_branch.shifts == (0.4,)
     assert abs(b_branch.coefficient - (-0.5j)) < 1e-12
     for arm in ("A", "C"):
-        (branch,) = out.components[arm]
+        (branch,) = js.components[arm]
         assert branch.shifts == (0.0,)
 
 
 def test_successive_couplings_compose():
-    circuit = build_nested_mzi()
-    inner = evolve_to_stage(circuit, PhotonState.source(), 2)
-    js = JointState.from_photon(inner, ("m",), (CFG,), stage=2)
-    twice = apply_measurement(apply_measurement(js, b_meter(0.1, meter_id="m")),
-                              b_meter(0.25, meter_id="m"))
-    once = apply_measurement(js, b_meter(0.35, meter_id="m"))
+    # two attachments on one meter and one arm add up to a single kick
+    twice = inner_arms([b_meter(0.1, meter_id="m", insert_after=2),
+                        b_meter(0.25, meter_id="m", insert_after=2)])
+    once = inner_arms([b_meter(0.35, meter_id="m", insert_after=2)])
     assert twice.components["B"][0].shifts[0] == pytest.approx(0.35, abs=1e-15)
     assert once.components["B"][0].shifts[0] == pytest.approx(0.35, abs=1e-15)
+    for arm in ("A", "C"):
+        assert twice.components[arm] == once.components[arm]
 
 
 def test_attachment_on_dead_arm_rejected():
-    js = JointState.from_photon(PhotonState.source(), ("m",), (CFG,), stage=0)
     with pytest.raises(ValueError):
-        apply_measurement(js, b_meter(0.1, meter_id="m"))  # B not live at stage 0
+        inner_arms([b_meter(0.1, meter_id="m", insert_after=0)])  # B not live at stage 0
     with pytest.raises(ValueError):
         MeterAttachment("m", "B", 0.1, CFG, insert_after=4).validate()
 
@@ -363,3 +366,59 @@ def test_occupation_sum_rules(layout, mix, phase, data):
         total = sum(arm_occupation(circuit, state, layout, arm, k) for arm in live)
         assert abs(total - 1.0) < 1e-12
 
+
+AMPLITUDE = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda c: abs(c) > 0.1
+)
+SHIFTS = st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3, unique=True)
+
+
+def two_meter_result(matrix, shifts_a, shifts_b, deltas):
+    """Conditional state sum_ij matrix[i][j] |G_{a_i}> x |G_{b_j}> of meters a and b."""
+    branches = tuple(
+        JointBranch(matrix[i][j], (a, b))
+        for i, a in enumerate(shifts_a) for j, b in enumerate(shifts_b) if matrix[i][j] != 0
+    )
+    # squared norm sum conj(M_ij) M_kl <G_ai|G_ak> <G_bj|G_bl>, by dense overlaps
+    overlap_a, overlap_b = (
+        np.exp(-np.subtract.outer(s, s) ** 2 / (4.0 * d))
+        for s, d in ((np.array(shifts_a), deltas[0]), (np.array(shifts_b), deltas[1]))
+    )
+    prob = float(np.sum(np.conj(matrix) * (overlap_a @ matrix @ overlap_b)).real)
+    return PostselectResult(prob, branches, ("a", "b"), tuple(MeterConfig(d) for d in deltas))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifts_a=SHIFTS, shifts_b=SHIFTS,
+       deltas=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)), data=st.data())
+def test_factorizer_rebuilds_product_states(shifts_a, shifts_b, deltas, data):
+    u = data.draw(st.lists(AMPLITUDE, min_size=len(shifts_a), max_size=len(shifts_a)))
+    v = data.draw(st.lists(AMPLITUDE, min_size=len(shifts_b), max_size=len(shifts_b)))
+    matrix = np.outer(u, v)
+    sel = two_meter_result(matrix, shifts_a, shifts_b, deltas)
+    wa, wb = sel.meter_waves
+    for w in (wa, wb):
+        assert abs(wave_norm2(w) - sel.probability) <= 1e-12 * sel.probability
+    # the factors rebuild every term up to one global factor sqrt(p) e^{i phi}
+    ca = {b.shift: b.coefficient for b in wa.branches}
+    cb = {b.shift: b.coefficient for b in wb.branches}
+    rebuilt = np.array([[ca[a] * cb[b] for b in shifts_b] for a in shifts_a])
+    i0, j0 = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
+    scale = rebuilt[i0, j0] / matrix[i0, j0]
+    assert abs(abs(scale) - math.sqrt(sel.probability)) <= 1e-12 * abs(scale)
+    assert np.abs(rebuilt / scale - matrix).max() <= 1e-12 * np.abs(matrix).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shifts_a=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3, unique=True),
+       shifts_b=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=3, unique=True),
+       data=st.data())
+def test_factorizer_rejects_rank_two(shifts_a, shifts_b, data):
+    u1, v1, u2, v2 = (data.draw(st.lists(AMPLITUDE, min_size=len(s), max_size=len(s)))
+                      for s in (shifts_a, shifts_b, shifts_a, shifts_b))
+    matrix = np.outer(u1, v1) + np.outer(u2, v2)
+    # a 2 x 2 minor well away from singular makes the rank exactly two
+    assume(abs(np.linalg.det(matrix[:2, :2])) > 0.1 * np.abs(matrix).max() ** 2)
+    sel = two_meter_result(matrix, shifts_a, shifts_b, (1.0, 1.0))
+    with pytest.raises(EntangledMetersError):
+        _ = sel.meter_waves

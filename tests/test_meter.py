@@ -87,9 +87,14 @@ def test_unequal_coefficient_wave_frozen_value():
 
 
 def test_coincident_branches_merge():
-    w = make_wave([(0.4, 0.2), (0.1, 0.2 + 1e-15)])
+    w = make_wave([(0.4, 0.2), (0.1, 0.2)])
     assert len(w.branches) == 1
     assert abs(w.branches[0].coefficient - 0.5) < 1e-15
+    assert make_wave([(0.5, 0.0), (0.25, -0.0)]).branches == (GaussianBranch(0.75, 0.0),)
+    # merging is exact: distinct shifts stay distinct however close they are
+    near = make_wave([(0.4, 0.2), (0.1, 0.2 + 1e-15)])
+    assert len(near.branches) == 2
+    assert abs(wave_norm2(near) - wave_norm2(w)) < 1e-15
 
 
 def test_zero_norm_wave_raises():
@@ -186,14 +191,16 @@ def c_post_d2(g):
      (c_post_d2(1.0), 1.0), (c_post_d2(0.5), 1.0), (c_post_d2(0.01), 1.0),
      ([(1.0, 0.0), (-0.6 + 0.3j, 0.8), (0.4j, 2.0)], 1.0),
      ([(1.0, 0.0), (-cmath.exp(0.01j), 0.001)], 1.0),
-     ([(0.75, 0.0), (-0.25 * cmath.exp(1.2j), 0.3)], 1.0)],
+     ([(0.75, 0.0), (-0.25 * cmath.exp(1.2j), 0.3)], 1.0),
+     (c_post_d2(1e-17), 1.0), ([(0.5, 0.2), (-0.25, math.nextafter(0.2, 1.0))], 1.0)],
     ids=["B-g50-d1e-4", "B-g1e4-d1", "C-g1", "C-g0.5", "C-g0.01", "complex-3",
-         "phase-0.01", "phase-1.2"],
+         "phase-0.01", "phase-1.2", "C-g1e-17", "one-ulp"],
 )
 def test_sampling_matches_exact_cdf(pairs, delta):
     # separated modes (B) and signed densities (C) against the erf closed form;
     # complex phases over three branches take the positive-part envelope, two
-    # branches with a complex relative phase a real signed part plus a Gaussian
+    # branches with a complex relative phase a real signed part plus a Gaussian;
+    # signed branches 1e-17 meter widths or one ulp apart stay two branches
     draws = sample_pointer_readout(make_wave(pairs, delta), 100_000, seed=31)
     result = stats.kstest(draws, lambda x: oracles.exact_readout_cdf(pairs, delta, x))
     assert result.pvalue > 1e-3
