@@ -29,13 +29,10 @@ from .meter import (
 from .evolution import (
     EntangledMetersError,
     JointBranch,
-    JointState,
     MeterAttachment,
     PathSum,
     PostselectResult,
     arm_occupation,
-    postselect,
-    run_pipeline,
 )
 from .criteria import (
     DiscontinuityReport,

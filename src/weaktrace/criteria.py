@@ -10,6 +10,13 @@ into the outer detectors, while at g = 0 exactly nothing does.
 The non-postselected alternative reads the *unconditional* pointer mean,
 which equals g times the plain projector expectation at the arm's stage,
 exactly, at every coupling strength; its g -> 0 limit is continuous.
+
+Both are read off one compiled ``PathSum`` per layout. The weak value is
+the summed amplitude of the detector-bound paths that cross the probed arm
+over that of all detector-bound paths; pointer means, postselection and
+arm occupations come from the sum's merged terms and Gram statistics.
+``weak_value_tsvf`` evolves photon states forward and backward instead,
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -19,18 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MeterAttachment, PathSum, arm_occupation, postselect, run_pipeline
-from .meter import MeterConfig, NoPostselectedEventsError, _readout_moments
+from .evolution import MeterAttachment, PathSum, arm_occupation
+from .meter import NORM2_FLOOR, MeterConfig, NoPostselectedEventsError, _readout_moments
 from .paths import (
     ARM_FIRST_STAGE,
     Circuit,
     PhotonState,
+    _check_arm,
     _check_detector,
-    apply_beamsplitter,
     apply_beamsplitter_inverse,
     build_nested_mzi,
     evolve_to_stage,
-    projector_expectation,
 )
 
 _DENOM_FLOOR = 1e-15
@@ -51,16 +57,26 @@ def _default_input(state: PhotonState | None) -> PhotonState:
     return PhotonState.source() if state is None else state
 
 
-def _projected_transition(
-    circuit: Circuit, in_state: PhotonState, arm: str, detector: str
-) -> complex:
-    """<detector| U(last)..U(k+1) Pi_arm U(k)..U(1) |in> with k the arm's stage."""
-    k = ARM_FIRST_STAGE[arm]
-    mid = evolve_to_stage(circuit, in_state, k)
-    projected = PhotonState({arm: mid.amplitude(arm)})
-    for bs in circuit.stages[k:]:
-        projected = apply_beamsplitter(projected, bs)
-    return projected.amplitude(detector)
+def _probe(arm: str, g: float, delta: float) -> list[MeterAttachment]:
+    """The one-meter layout: meter "probe" on ``arm`` at the arm's first stage."""
+    return [MeterAttachment("probe", arm, g, MeterConfig(delta))]
+
+
+def _path_weak_value(paths: PathSum, detector: str) -> complex:
+    """Weak value of the probed arm's projector, read off a one-probe path sum.
+
+    The plain transition amplitude <detector|U|in> sums the amplitudes of
+    the paths that end at the detector; the projector-inserted one keeps
+    only those among them that cross the probe.
+    """
+    _check_arm(detector)
+    ending = [p for p, arm in enumerate(paths.arms) if arm == detector]
+    den = sum(paths.amplitudes[p] for p in ending)
+    if abs(den) < _DENOM_FLOOR:
+        raise UndefinedWeakValueError(
+            f"postselection on {detector} has zero amplitude; weak value undefined"
+        )
+    return sum(paths.amplitudes[p] for p in ending if paths.incidence[p].any()) / den
 
 
 def weak_value_analytic(
@@ -72,12 +88,9 @@ def weak_value_analytic(
     """Weak value of the arm projector for the given pre/postselection."""
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    den = evolve_to_stage(circuit, in_state, len(circuit)).amplitude(detector)
-    if abs(den) < _DENOM_FLOOR:
-        raise UndefinedWeakValueError(
-            f"postselection on {detector} has zero amplitude; weak value undefined"
-        )
-    return _projected_transition(circuit, in_state, arm, detector) / den
+    # only the probe's incidence is read, so its g and delta are placeholders
+    paths = PathSum.compile(circuit, in_state, _probe(arm, 0.0, 1.0))
+    return _path_weak_value(paths, detector)
 
 
 def tsvf_backward_state(
@@ -179,17 +192,16 @@ def weak_value_operational(
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     _check_detector(detector)
-    layout = [MeterAttachment("probe", arm, g_list[0], MeterConfig(delta))]
-    paths = PathSum.compile(circuit, in_state, layout)
+    paths = PathSum.compile(circuit, in_state, _probe(arm, g_list[0], delta))
     prob, moment = paths.statistics([[g] for g in g_list], (detector,))[detector]
     for g, p in zip(g_list, prob):
-        if p <= 1e-30:
+        if p <= NORM2_FLOOR:
             raise NoPostselectedEventsError(
                 f"postselection on {detector} has zero probability at g={g}"
             )
     estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment[:, 0])]
     limit = extrapolate_even_limit(*zip(*estimates))
-    analytic = weak_value_analytic(arm, in_state, detector, circuit)
+    analytic = _path_weak_value(paths, detector)
     return WeakValueRecord(arm, "N", detector, analytic, tuple(estimates), limit)
 
 
@@ -234,9 +246,8 @@ def monte_carlo_weak_value(
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    js = run_pipeline(circuit, in_state, [MeterAttachment("probe", arm, g, MeterConfig(delta))])
-    sel = postselect(js, detector)
-    if sel.probability <= 1e-30:
+    sel = PathSum.compile(circuit, in_state, _probe(arm, g, delta)).postselect([g], detector)
+    if sel.probability <= NORM2_FLOOR:
         raise NoPostselectedEventsError(f"postselection on {detector} has zero probability")
     rng = np.random.default_rng(seed)
     n_sel = int(rng.binomial(n, min(sel.probability, 1.0)))
@@ -278,10 +289,12 @@ def weak_mean_value(
         raise ValueError("coupling strength must be nonnegative")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    js = run_pipeline(circuit, in_state, [MeterAttachment("probe", arm, g, MeterConfig(delta))])
-    mean = js.pointer_mean("probe")
-    k = ARM_FIRST_STAGE[arm]
-    limit = projector_expectation(evolve_to_stage(circuit, in_state, k), arm)
+    stats = PathSum.compile(circuit, in_state, _probe(arm, g, delta)).statistics([[g]], None)
+    norm2 = sum(float(prob[0]) for prob, _ in stats.values())
+    if norm2 <= NORM2_FLOOR:
+        raise NoPostselectedEventsError("state has zero norm")
+    mean = sum(float(moment[0, 0]) for _, moment in stats.values()) / norm2
+    limit = arm_occupation(circuit, in_state, (), arm, ARM_FIRST_STAGE[arm])
     ratio = mean / g if g > 0 else None
     return MeanValueRecord(arm, g, mean, ratio, limit)
 
@@ -323,16 +336,6 @@ class DiscontinuityReport:
         )
 
 
-def _b_route_amplitude_via_e(circuit: Circuit, in_state: PhotonState) -> complex:
-    """<D2| U4 Pi_E U3 Pi_B U2 U1 |in>: the B-arm amplitude that reaches D2."""
-    mid = evolve_to_stage(circuit, in_state, 2)
-    state = PhotonState({"B": mid.amplitude("B")})
-    state = apply_beamsplitter(state, circuit.stages[2])
-    state = PhotonState({"E": state.amplitude("E")})
-    state = apply_beamsplitter(state, circuit.stages[3])
-    return state.amplitude("D2")
-
-
 def discontinuity_report(
     g_grid,
     delta: float,
@@ -354,33 +357,35 @@ def discontinuity_report(
         raise ValueError("g grid must be strictly decreasing")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    config = MeterConfig(delta)
 
     record = weak_value_operational("B", "D2", g_grid, delta, in_state, circuit)
     slope = record.limit
-    rows = []
-    for (g, ratio) in record.estimates:
-        p_e = arm_occupation(
-            circuit, in_state, [MeterAttachment("probe", "B", g, config)], "E", 3
-        )
-        rows.append(DiscontinuityRow(g, p_e, ratio, slope))
-    p_e_zero = arm_occupation(
-        circuit, in_state, [MeterAttachment("probe", "B", 0.0, config)], "E", 3
+    inner = PathSum.compile(circuit, in_state, _probe("B", g_grid[0], delta), upto=3)
+    p_e, _ = inner.statistics([[g] for g in g_grid], ("E",))["E"]
+    rows = tuple(
+        DiscontinuityRow(g, float(p), ratio, slope) for (g, ratio), p in zip(record.estimates, p_e)
     )
-    zero_row = DiscontinuityRow(0.0, p_e_zero, None, None)
+    # its own batch, so that the undisturbed B and C paths merge and cancel exactly
+    p_e_zero, _ = inner.statistics([[0.0]], ("E",))["E"]
+    zero_row = DiscontinuityRow(0.0, float(p_e_zero[0]), None, None)
 
-    # the whole coupled branch of the postselected D2 wave comes through E
+    # the whole coupled (shift-g) part of the postselected D2 wave comes
+    # from the D2-bound paths that cross both B and E; the zero coupling on
+    # E only marks which paths cross it
     g_probe = g_grid[0]
-    js = run_pipeline(circuit, in_state, [MeterAttachment("probe", "B", g_probe, config)])
-    sel = postselect(js, "D2")
-    shifted = [b for b in sel.branches if b.shifts[0] == g_probe]
-    via_e = _b_route_amplitude_via_e(circuit, in_state)
-    coupled = sum(b.coefficient for b in shifted)
+    layout = _probe("B", g_probe, delta) + [MeterAttachment("probe", "E", 0.0, MeterConfig(delta))]
+    paths = PathSum.compile(circuit, in_state, layout)
+    coeffs, shifts = paths.merged([[g_probe, 0.0]], ("D2",))["D2"]
+    coupled = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if s == g_probe)
+    via_e = sum(
+        c for arm, c, hit in zip(paths.arms, paths.amplitudes, paths.incidence)
+        if arm == "D2" and hit.any(axis=1).all()
+    )
     b_signal_via_e = bool(abs(coupled - via_e) < 1e-12)
 
     return DiscontinuityReport(
         delta=delta,
-        rows=tuple(rows),
+        rows=rows,
         zero_row=zero_row,
         extrapolated_weak_value=record.limit,
         analogy_slope=slope,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import MeterAttachment, PathSum
-from .meter import MeterConfig
+from .meter import NORM2_FLOOR, MeterConfig
 from .paths import DETECTORS, Circuit, PhotonState, build_nested_mzi
 
 #: Pooled outer-port pseudo-detector name used in series keys.
@@ -164,7 +164,7 @@ def simulate_traces(
     outer_moment = np.zeros(n)
     for det in DETECTORS:
         prob, moment = stats[det]
-        seen = prob > 1e-30
+        seen = prob > NORM2_FLOOR
         moment = np.where(seen, moment[:, 0], 0.0) if mirrors else np.zeros(n)
         series[f"{det}_mean"] = np.divide(moment, prob, out=np.zeros(n), where=seen)
         series[f"{det}_prob"] = prob
@@ -172,7 +172,7 @@ def simulate_traces(
             outer_prob += prob
             outer_moment += moment
     series[f"{OUTER}_mean"] = np.divide(
-        outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > 1e-30
+        outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > NORM2_FLOOR
     )
     series[f"{OUTER}_prob"] = outer_prob
 

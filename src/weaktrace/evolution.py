@@ -26,9 +26,10 @@ is against the meter width.
 Several attachments may share a ``meter_id``: they then kick the same
 pointer (the shared transverse-deviation meter of the vibrating-mirror
 realization), with shifts adding up along each photon path.
-``run_pipeline`` is the batch-of-one view that returns a ``JointState``
-holding those merged terms; it is the only joint-state representation.
-Postselection reads a detector arm's terms, and ``PostselectResult``
+The compiled ``PathSum`` is the only joint-state representation: its
+merged terms per arm are the joint state, ``statistics`` reads
+probabilities and pointer moments from them, and ``postselect`` keeps one
+detector's terms at one coupling vector as a ``PostselectResult``, which
 factors a multi-meter conditional state exactly, by grouping equal shifts.
 """
 
@@ -40,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meter import (
+    NORM2_FLOOR,
     GaussianBranch,
     MeterConfig,
     MeterWave,
@@ -104,50 +106,6 @@ class JointBranch:
 
     coefficient: complex
     shifts: tuple[float, ...]
-
-
-def _branch_gram(branches, configs) -> tuple[float, np.ndarray]:
-    """Squared norm and un-normalized pointer moments (one per meter)."""
-    shifts = np.array([b.shifts for b in branches], dtype=float)
-    norm2, moment = gram_sums(
-        [b.coefficient for b in branches],
-        shifts.reshape(len(branches), 1, len(configs)),
-        [cfg.delta for cfg in configs],
-    )
-    return float(norm2[0]), moment[0]
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Entangled photon-meter state: per arm, its joint branches.
-
-    The branches are the merged terms of ``PathSum.merged`` for one coupling
-    vector (see ``run_pipeline``): distinct exact shift tuples, no zeros.
-    """
-
-    components: dict[str, tuple[JointBranch, ...]]
-    meter_ids: tuple[str, ...]
-    configs: tuple[MeterConfig, ...]
-    stage: int = 0
-
-    def component_norm2(self, arm: str) -> float:
-        return _branch_gram(self.components.get(_check_arm(arm), ()), self.configs)[0]
-
-    def component_moment(self, arm: str, slot: int) -> float:
-        """Un-normalized <Q_slot> contribution of one arm's component."""
-        return float(_branch_gram(self.components.get(arm, ()), self.configs)[1][slot])
-
-    def norm2(self) -> float:
-        return sum(self.component_norm2(arm) for arm in self.components)
-
-    def pointer_mean(self, meter_id: str) -> float:
-        """Unconditional pointer mean of one meter, all photon outcomes kept."""
-        slot = self.meter_ids.index(meter_id)
-        grams = [_branch_gram(b, self.configs) for b in self.components.values()]
-        n2 = sum(n for n, _ in grams)
-        if n2 <= 1e-30:
-            raise NoPostselectedEventsError("state has zero norm")
-        return sum(float(m[slot]) for _, m in grams) / n2
 
 
 @dataclass(frozen=True)
@@ -281,26 +239,17 @@ class PathSum:
             for arm, (coeffs, shifts) in self.merged(couplings, arms).items()
         }
 
+    def postselect(self, couplings, detector: str) -> "PostselectResult":
+        """Project onto a detector arm at one coupling vector (one g per attachment).
 
-def run_pipeline(
-    circuit: Circuit,
-    input_state: PhotonState,
-    attachments: list[MeterAttachment] | tuple[MeterAttachment, ...] = (),
-    upto: int | None = None,
-) -> JointState:
-    """Evolve |input> x |meters> through the stages, couplings interleaved.
-
-    The batch-of-one view of ``PathSum``: each arm's component lists the
-    merged paths ending there. With no attachments this reduces to the pure
-    path-space evolution. The returned state has unit total norm (every
-    coupling is unitary).
-    """
-    paths = PathSum.compile(circuit, input_state, attachments, upto)
-    comps = {
-        arm: tuple(JointBranch(c, tuple(s)) for c, (s,) in zip(coeffs, shifts.tolist()))
-        for arm, (coeffs, shifts) in paths.merged([[att.g for att in attachments]]).items()
-    }
-    return JointState(comps, paths.meter_ids, paths.configs, paths.stage)
+        Returns the detection probability and the detector's merged terms as
+        the un-normalized conditional meter state.
+        """
+        _check_detector(detector)
+        coeffs, shifts = self.merged([couplings], (detector,))[detector]
+        prob, _ = gram_sums(coeffs, shifts, [cfg.delta for cfg in self.configs])
+        branches = tuple(JointBranch(c, tuple(s)) for c, (s,) in zip(coeffs, shifts.tolist()))
+        return PostselectResult(float(prob[0]), branches, self.meter_ids, self.configs)
 
 
 @dataclass(frozen=True)
@@ -314,10 +263,16 @@ class PostselectResult:
 
     def pointer_mean(self, meter_id: str) -> float:
         """Conditional <Q> of one meter given the detector fired."""
-        if self.probability <= 1e-30:
+        if self.probability <= NORM2_FLOOR:
             raise NoPostselectedEventsError("postselection probability is zero")
         slot = self.meter_ids.index(meter_id)
-        return float(_branch_gram(self.branches, self.configs)[1][slot]) / self.probability
+        shifts = np.array([b.shifts for b in self.branches], dtype=float)
+        _, moment = gram_sums(
+            [b.coefficient for b in self.branches],
+            shifts.reshape(len(self.branches), 1, len(self.configs)),
+            [cfg.delta for cfg in self.configs],
+        )
+        return float(moment[0, slot]) / self.probability
 
     @property
     def meter_waves(self) -> tuple[MeterWave, ...]:
@@ -370,14 +325,6 @@ class PostselectResult:
             tuple(GaussianBranch(b.coefficient * scale, b.shift) for b in raw.branches),
             self.configs[slot],
         )
-
-
-def postselect(js: JointState, detector: str) -> PostselectResult:
-    """Project onto a detector arm: probability plus conditional meter state."""
-    _check_detector(detector)
-    branches = js.components.get(detector, ())
-    prob = js.component_norm2(detector)
-    return PostselectResult(prob, branches, js.meter_ids, js.configs)
 
 
 def arm_occupation(

@@ -100,10 +100,6 @@ class MeterWave:
         branches = tuple(GaussianBranch(c, s) for s, c in merged.items() if c != 0)
         object.__setattr__(self, "branches", branches)
 
-    @classmethod
-    def initial(cls, config: MeterConfig) -> "MeterWave":
-        return cls((GaussianBranch(1.0 + 0.0j, 0.0),), config)
-
     def translated(self, t: float) -> "MeterWave":
         """Rigidly displace the whole wave by ``t``."""
         return MeterWave(
@@ -150,7 +146,10 @@ def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
     for p, cp in enumerate(c):
         moment += (cp.conjugate() * total).real * s[p]
         for q in range(p + 1, len(c)):
-            excess = np.expm1(-np.square((s[p] - s[q]) * inv_2sd).sum(axis=-1))  # overlap - 1
+            # a scaled distance past double range is an overlap of exactly 0,
+            # and expm1(-inf) = -1 gives it: the overflow is not an error
+            with np.errstate(over="ignore"):
+                excess = np.expm1(-np.square((s[p] - s[q]) * inv_2sd).sum(axis=-1))  # overlap - 1
             cross = 2.0 * (cp.conjugate() * c[q]).real
             norm2 += cross * excess
             moment += (0.5 * cross * excess)[:, None] * (s[p] + s[q])
@@ -195,7 +194,8 @@ def _envelope_terms(alpha, beta, a0, a1, delta, mean, eps):
     ell = math.log(alpha / beta)
     slope = gap / delta
     offset = -slope * 0.5 * (a0 + a1) - ell
-    k = eps * delta / (2.0 * (1.0 + eps) * gap * gap)
+    # a gap whose square underflows gives k = inf, which disqualifies the envelope
+    k = eps * delta / (2.0 * (1.0 + eps) * gap * gap) if gap * gap > 0 else math.inf
     t_a = slope * ((a0 - mean) / eps - 0.5 * gap) - ell
     const = 0.25 * math.log1p(eps) + (a0 - mean) ** 2 / (2.0 * eps * delta) + math.log(alpha)
     return slope, offset, k, t_a, const
@@ -258,7 +258,9 @@ def _mixture_terms(w: MeterWave):
     a = np.array([b.shift for b in w.branches], dtype=float)
     i, j = np.triu_indices(len(c))
     weights = np.where(i == j, 1.0, 2.0) * (c[i].conjugate() * c[j]).real
-    weights *= np.exp(-((a[i] - a[j]) ** 2) / (4.0 * w.config.delta))
+    # as in gram_sums, a distance past double range is an overlap of exactly 0
+    with np.errstate(over="ignore"):
+        weights *= np.exp(-((a[i] - a[j]) ** 2) / (4.0 * w.config.delta))
     return c, a, weights, 0.5 * (a[i] + a[j])
 
 

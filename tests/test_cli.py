@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,10 +14,9 @@ from hypothesis import strategies as st
 from weaktrace import (
     MeterAttachment,
     MeterConfig,
+    PathSum,
     PhotonState,
     build_nested_mzi,
-    postselect,
-    run_pipeline,
 )
 from weaktrace.cli import main
 
@@ -239,6 +239,19 @@ def test_invalid_configuration_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_extreme_scales_warn_nothing(capsys):
+    # a meter distance past double range is an overlap of exactly 0 and a gap
+    # whose square underflows disqualifies the envelope: neither is a
+    # floating-point warning, so stderr holds only the one-line diagnostic
+    for argv in (["sweep", "--arm", "C", "--g=1e300", "--delta=1e-300", "--mc-n=100"],
+                 ["sweep", "--arm", "C", "--g=1e-300", "--delta=1e300", "--mc-n=100"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+
+
 def test_invalid_seed_env_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("WEAKTRACE_SEED", "abc")
     with pytest.raises(SystemExit) as exc:
@@ -250,12 +263,12 @@ def test_invalid_seed_env_exit_code(capsys, monkeypatch):
 def test_no_postselected_events_exit_code(capsys):
     # find a seed whose single trial fails to postselect; the protocol then
     # has no events and the command must exit 3
-    js = run_pipeline(
+    paths = PathSum.compile(
         build_nested_mzi(),
         PhotonState.source(),
         [MeterAttachment("probe", "B", 0.5, MeterConfig(1.0))],
     )
-    p = postselect(js, "D2").probability
+    p = paths.postselect([0.5], "D2").probability
     seed = next(s for s in range(100) if np.random.default_rng(s).binomial(1, p) == 0)
     code, _, err = run_cli(
         capsys, "sweep", "--arm", "B", "--g-grid", "0.5", "--mc-n", "1",

@@ -1,22 +1,24 @@
 """Weak-value and weak-mean-value criteria against oracles and closed forms."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weaktrace import (
     MeterAttachment,
     MeterConfig,
     NoPostselectedEventsError,
+    PathSum,
     PhotonState,
     UndefinedWeakValueError,
     build_nested_mzi,
     discontinuity_report,
     extrapolate_even_limit,
     monte_carlo_weak_value,
-    postselect,
-    run_pipeline,
     tsvf_backward_state,
     weak_mean_value,
     weak_value_analytic,
@@ -59,6 +61,24 @@ def test_tsvf_matches_forward_computation(detector):
         forward = weak_value_analytic(arm, detector=detector)
         backward = weak_value_tsvf(arm, detector=detector)
         assert abs(forward - backward) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(mix=st.floats(0.0, math.pi / 2), phase=st.floats(0.0, 2 * math.pi),
+       arm=st.sampled_from(TABLE_ARMS), detector=st.sampled_from(("D1", "D2", "D3")))
+def test_weak_value_random_preselection(mix, phase, arm, detector):
+    # the path-sum weak value against dense matrix products, any preselection
+    amplitudes = {"N": math.cos(mix), "N0": math.sin(mix) * cmath.exp(1j * phase)}
+    assume(abs(oracles.evolve_vector(4, amplitudes)[oracles.IDX[detector]]) > 1e-3)
+    expected = oracles.oracle_weak_value(arm, detector, amplitudes)
+    wv = weak_value_analytic(arm, PhotonState(amplitudes), detector)
+    assert abs(wv - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+def test_weak_value_unknown_labels():
+    for arm, detector in (("Q", "D2"), ("B", "Q")):
+        with pytest.raises(ValueError):
+            weak_value_analytic(arm, detector=detector)
 
 
 def test_tsvf_backward_state_overlap():
@@ -215,12 +235,12 @@ def test_monte_carlo_trial_count_range():
 
 
 def test_monte_carlo_single_trial():
-    js = run_pipeline(
+    paths = PathSum.compile(
         build_nested_mzi(),
         PhotonState.source(),
         [MeterAttachment("probe", "B", 0.2, MeterConfig(1.0))],
     )
-    p = postselect(js, "D2").probability
+    p = paths.postselect([0.2], "D2").probability
     seed = next(
         s for s in range(100) if np.random.default_rng(s).binomial(1, p) == 1
     )

@@ -23,8 +23,6 @@ from weaktrace import (
     arm_occupation,
     build_nested_mzi,
     evolve_to_stage,
-    postselect,
-    run_pipeline,
     wave_norm2,
 )
 from weaktrace.paths import ARM_FIRST_STAGE, ARM_LAST_STAGE
@@ -39,29 +37,41 @@ def b_meter(g, delta=1.0, meter_id="probe", insert_after=None):
     return MeterAttachment(meter_id, "B", g, MeterConfig(delta), insert_after)
 
 
+def couplings(attachments):
+    """The batch of one coupling vector that holds each attachment's own g."""
+    return [[att.g for att in attachments]]
+
+
+def total_norm2(paths, attachments):
+    """Squared norm of the joint state: the probabilities of every arm summed."""
+    stats = paths.statistics(couplings(attachments), None)
+    return sum(float(prob[0]) for prob, _ in stats.values())
+
+
 def inner_arms(attachments):
-    """Joint state after BS2 (arms A, B, C) with the given couplings."""
-    return run_pipeline(build_nested_mzi(), PhotonState.source(), attachments, upto=2)
+    """Merged terms per arm after BS2 (arms A, B, C) with the given couplings."""
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), attachments, upto=2)
+    return paths.merged(couplings(attachments))
 
 
 def test_zero_coupling_is_identity():
     inner = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 2)
-    js = inner_arms([b_meter(0.0, meter_id="m", insert_after=2)])
-    assert set(js.components) == set(inner.amplitudes)
-    for arm, branches in js.components.items():
-        (branch,) = branches
-        assert branch.shifts == (0.0,)
-        assert branch.coefficient == inner.amplitude(arm)
+    terms = inner_arms([b_meter(0.0, meter_id="m", insert_after=2)])
+    assert set(terms) == set(inner.amplitudes)
+    for arm, (coeffs, shifts) in terms.items():
+        (coefficient,) = coeffs
+        assert shifts.tolist() == [[[0.0]]]
+        assert coefficient == inner.amplitude(arm)
 
 
 def test_coupling_splits_off_shifted_branch():
-    js = inner_arms([b_meter(0.4, meter_id="m", insert_after=2)])
-    (b_branch,) = js.components["B"]
-    assert b_branch.shifts == (0.4,)
-    assert abs(b_branch.coefficient - (-0.5j)) < 1e-12
+    terms = inner_arms([b_meter(0.4, meter_id="m", insert_after=2)])
+    (b_coefficient,), b_shifts = terms["B"]
+    assert b_shifts.tolist() == [[[0.4]]]
+    assert abs(b_coefficient - (-0.5j)) < 1e-12
     for arm in ("A", "C"):
-        (branch,) = js.components[arm]
-        assert branch.shifts == (0.0,)
+        (_,), shifts = terms[arm]
+        assert shifts.tolist() == [[[0.0]]]
 
 
 def test_successive_couplings_compose():
@@ -69,10 +79,11 @@ def test_successive_couplings_compose():
     twice = inner_arms([b_meter(0.1, meter_id="m", insert_after=2),
                         b_meter(0.25, meter_id="m", insert_after=2)])
     once = inner_arms([b_meter(0.35, meter_id="m", insert_after=2)])
-    assert twice.components["B"][0].shifts[0] == pytest.approx(0.35, abs=1e-15)
-    assert once.components["B"][0].shifts[0] == pytest.approx(0.35, abs=1e-15)
+    assert twice["B"][1][0, 0, 0] == pytest.approx(0.35, abs=1e-15)
+    assert once["B"][1][0, 0, 0] == pytest.approx(0.35, abs=1e-15)
     for arm in ("A", "C"):
-        assert twice.components[arm] == once.components[arm]
+        assert twice[arm][0] == once[arm][0]
+        assert twice[arm][1].tolist() == once[arm][1].tolist()
 
 
 def test_attachment_on_dead_arm_rejected():
@@ -85,56 +96,55 @@ def test_attachment_on_dead_arm_rejected():
 def test_pipeline_layout_checks():
     circuit = build_nested_mzi()
     with pytest.raises(PipelineError):  # D1 already occupied when BS4 fires
-        run_pipeline(circuit, PhotonState({"N": 1 / SQ2, "D1": 1 / SQ2}))
+        PathSum.compile(circuit, PhotonState({"N": 1 / SQ2, "D1": 1 / SQ2}))
     two_widths = [b_meter(0.1, 1.0, "m"), MeterAttachment("m", "A", 0.1, MeterConfig(2.0))]
     with pytest.raises(ValueError):
-        run_pipeline(circuit, PhotonState.source(), two_widths)
+        PathSum.compile(circuit, PhotonState.source(), two_widths)
     with pytest.raises(ValueError):
-        run_pipeline(circuit, PhotonState.source(), upto=5)
+        PathSum.compile(circuit, PhotonState.source(), upto=5)
 
 
 def test_pipeline_without_attachments_matches_pure_evolution():
     circuit = build_nested_mzi()
-    js = run_pipeline(circuit, PhotonState.source(), [])
+    paths = PathSum.compile(circuit, PhotonState.source(), [])
     final = evolve_to_stage(circuit, PhotonState.source(), 4)
-    for arm, branches in js.components.items():
-        assert len(branches) == 1
-        assert abs(branches[0].coefficient - final.amplitude(arm)) < 1e-12
-    assert abs(postselect(js, "D2").probability - 0.25) < 1e-12
+    for arm, (coeffs, _) in paths.merged([[]]).items():
+        assert len(coeffs) == 1
+        assert abs(coeffs[0] - final.amplitude(arm)) < 1e-12
+    assert abs(paths.postselect([], "D2").probability - 0.25) < 1e-12
 
 
 def test_pipeline_g0_matches_no_attachment():
     circuit = build_nested_mzi()
-    with_meter = run_pipeline(circuit, PhotonState.source(), [b_meter(0.0)])
-    bare = run_pipeline(circuit, PhotonState.source(), [])
-    for arm in bare.components:
-        (bw,) = with_meter.components[arm]
-        (bb,) = bare.components[arm]
-        assert abs(bw.coefficient - bb.coefficient) < 1e-12
-        assert bw.shifts == (0.0,)
+    with_meter = PathSum.compile(circuit, PhotonState.source(), [b_meter(0.0)]).merged([[0.0]])
+    bare = PathSum.compile(circuit, PhotonState.source(), []).merged([[]])
+    for arm in bare:
+        (cw,), shifts = with_meter[arm]
+        (cb,), _ = bare[arm]
+        assert abs(cw - cb) < 1e-12
+        assert shifts.tolist() == [[[0.0]]]
 
 
 def test_two_term_decomposition():
     # final = undisturbed x G_0  +  (U4 U3 Pi_B U2 U1|N>) x (G_g - G_0)
     circuit = build_nested_mzi()
     g = 0.6
-    js = run_pipeline(circuit, PhotonState.source(), [b_meter(g)])
+    terms = PathSum.compile(circuit, PhotonState.source(), [b_meter(g)]).merged([[g]])
     undisturbed = evolve_to_stage(circuit, PhotonState.source(), 4)
     inner = evolve_to_stage(circuit, PhotonState.source(), 2)
     projected = PhotonState({"B": inner.amplitude("B")})
     for bs in circuit.stages[2:]:
         projected = apply_beamsplitter(projected, bs)
-    for arm, branches in js.components.items():
-        shifted = sum(b.coefficient for b in branches if abs(b.shifts[0] - g) < 1e-12)
-        rest = sum(b.coefficient for b in branches if abs(b.shifts[0]) < 1e-12)
+    for arm, (coeffs, shifts) in terms.items():
+        shifted = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if abs(s - g) < 1e-12)
+        rest = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if abs(s) < 1e-12)
         assert abs(shifted - projected.amplitude(arm)) < 1e-12
         assert abs(rest - (undisturbed.amplitude(arm) - projected.amplitude(arm))) < 1e-12
 
 
 def test_postselect_undisturbed_meter():
     circuit = build_nested_mzi()
-    js = run_pipeline(circuit, PhotonState.source(), [b_meter(0.0)])
-    sel = postselect(js, "D2")
+    sel = PathSum.compile(circuit, PhotonState.source(), [b_meter(0.0)]).postselect([0.0], "D2")
     assert abs(sel.probability - 0.25) < 1e-12
     (wave,) = sel.meter_waves
     assert len(wave.branches) == 1
@@ -145,13 +155,14 @@ def test_postselect_undisturbed_meter():
 def test_postselect_b_meter_branch_coefficients():
     circuit = build_nested_mzi()
     g = 0.8
-    sel = postselect(run_pipeline(circuit, PhotonState.source(), [b_meter(g)]), "D2")
+    paths = PathSum.compile(circuit, PhotonState.source(), [b_meter(g)])
+    sel = paths.postselect([g], "D2")
     (wave,) = sel.meter_waves
     by_shift = {round(b.shift, 9): b.coefficient for b in wave.branches}
     assert abs(by_shift[0.0] - (-0.25)) < 1e-12
     assert abs(by_shift[round(g, 9)] - (-0.25)) < 1e-12
 
-    d3 = postselect(run_pipeline(circuit, PhotonState.source(), [b_meter(g)]), "D3")
+    d3 = paths.postselect([g], "D3")
     (wave3,) = d3.meter_waves
     mags = sorted(abs(b.coefficient) for b in wave3.branches)
     assert abs(mags[0] - mags[1]) < 1e-12
@@ -159,9 +170,9 @@ def test_postselect_b_meter_branch_coefficients():
 
 
 def test_postselect_invalid_detector():
-    js = run_pipeline(build_nested_mzi(), PhotonState.source(), [])
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), [])
     with pytest.raises(ValueError):
-        postselect(js, "E")
+        paths.postselect([], "E")
 
 
 def test_joint_norm_unity_random_attachments():
@@ -179,8 +190,8 @@ def test_joint_norm_unity_random_attachments():
             attachments.append(
                 MeterAttachment(meter_id, arm, float(rng.uniform(-1.5, 1.5)), MeterConfig(delta))
             )
-        js = run_pipeline(circuit, PhotonState.source(), attachments)
-        assert abs(js.norm2() - 1.0) < 1e-12
+        paths = PathSum.compile(circuit, PhotonState.source(), attachments)
+        assert abs(total_norm2(paths, attachments) - 1.0) < 1e-12
 
 
 def test_postselection_completeness_random():
@@ -191,10 +202,10 @@ def test_postselection_completeness_random():
         arm = arms[rng.integers(len(arms))]
         g = float(rng.uniform(0.0, 2.0))
         delta = float(rng.uniform(0.25, 4.0))
-        js = run_pipeline(
+        paths = PathSum.compile(
             circuit, PhotonState.source(), [MeterAttachment("m", arm, g, MeterConfig(delta))]
         )
-        total = sum(postselect(js, d).probability for d in ("D1", "D2", "D3"))
+        total = sum(paths.postselect([g], d).probability for d in ("D1", "D2", "D3"))
         assert abs(total - 1.0) < 1e-12
 
 
@@ -222,18 +233,22 @@ def test_e_occupation_small_g_law():
 def test_unconditional_pointer_mean_exact_in_g():
     circuit = build_nested_mzi()
     for g in (1e-3, 0.1, 1.0, 2.0):
-        js = run_pipeline(circuit, PhotonState.source(), [b_meter(g)])
-        assert abs(js.pointer_mean("probe") - g / 4.0) < 1e-12
+        attachments = [b_meter(g)]
+        paths = PathSum.compile(circuit, PhotonState.source(), attachments)
+        # every photon outcome kept: the moments of all arms over the total norm
+        stats = paths.statistics(couplings(attachments), None).values()
+        mean = sum(float(m[0, 0]) for _, m in stats) / total_norm2(paths, attachments)
+        assert abs(mean - g / 4.0) < 1e-12
 
 
 def test_conditional_means_match_grid_oracle():
     circuit = build_nested_mzi()
     for arm, g, delta in [("B", 0.7, 1.0), ("C", 0.4, 0.5), ("A", 1.1, 2.0)]:
         att = MeterAttachment("m", arm, g, MeterConfig(delta))
-        js = run_pipeline(circuit, PhotonState.source(), [att])
+        paths = PathSum.compile(circuit, PhotonState.source(), [att])
         sim = oracles.JointGridSim(delta).run([(arm, g, att.insertion_stage)])
         for det in ("D1", "D2", "D3"):
-            sel = postselect(js, det)
+            sel = paths.postselect([g], det)
             assert abs(sel.probability - sim.prob(det)) < 1e-9
             assert abs(sel.pointer_mean("m") - sim.conditional_mean(det)) < 1e-9
 
@@ -245,12 +260,12 @@ def test_two_private_meters_against_grid_oracle():
         MeterAttachment("mb", "B", g1, MeterConfig(delta)),
         MeterAttachment("mc", "C", g2, MeterConfig(delta)),
     ]
-    js = run_pipeline(circuit, PhotonState.source(), attachments)
-    assert abs(js.norm2() - 1.0) < 1e-12
+    paths = PathSum.compile(circuit, PhotonState.source(), attachments)
+    assert abs(total_norm2(paths, attachments) - 1.0) < 1e-12
     sim = oracles.JointGridSim(delta, axes=2, span=14.0).run(
         [("B", g1, 2, 0), ("C", g2, 2, 1)]
     )
-    sel = postselect(js, "D3")
+    sel = paths.postselect([g1, g2], "D3")
     assert abs(sel.probability - sim.prob("D3")) < 1e-8
     assert abs(sel.pointer_mean("mb") - sim.conditional_mean("D3", axis=0)) < 1e-8
     assert abs(sel.pointer_mean("mc") - sim.conditional_mean("D3", axis=1)) < 1e-8
@@ -264,7 +279,7 @@ def test_two_meters_factorizable_waves():
         MeterAttachment("ma", "A", 0.6, MeterConfig(1.0)),
         MeterAttachment("me", "E", 0.9, MeterConfig(1.0)),
     ]
-    sel = postselect(run_pipeline(circuit, PhotonState.source(), attachments), "D2")
+    sel = PathSum.compile(circuit, PhotonState.source(), attachments).postselect([0.6, 0.9], "D2")
     wa, we = sel.meter_waves
     assert len(wa.branches) == 1 and abs(wa.branches[0].shift - 0.6) < 1e-12
     assert len(we.branches) == 1 and abs(we.branches[0].shift) < 1e-12
@@ -279,10 +294,10 @@ def test_shared_meter_shifts_add_along_paths():
         MeterAttachment("y", "A", 0.2, MeterConfig(1.0)),
         MeterAttachment("y", "B", 0.5, MeterConfig(1.0)),
     ]
-    js = run_pipeline(circuit, PhotonState.source(), attachments)
+    paths = PathSum.compile(circuit, PhotonState.source(), attachments)
     sim = oracles.JointGridSim(1.0).run([("A", 0.2, 1), ("B", 0.5, 2)])
     for det in ("D1", "D2", "D3"):
-        sel = postselect(js, det)
+        sel = paths.postselect([0.2, 0.5], det)
         assert abs(sel.probability - sim.prob(det)) < 1e-9
         assert abs(sel.pointer_mean("y") - sim.conditional_mean(det)) < 1e-9
 

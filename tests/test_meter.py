@@ -175,6 +175,15 @@ def test_sampling_kolmogorov_smirnov():
     assert result.pvalue > 1e-3
 
 
+def test_sampling_dipole_limit():
+    # equal and opposite branches 1e-14 meter widths apart: |w|^2 is the dipole
+    # density (q - mid)^2 N(q; mid, delta/2), so (q - mid)^2 / (delta/2) ~ chi2(3)
+    pairs, delta = [(0.5, 0.0), (-0.5, 1e-14)], 1.0
+    draws = sample_pointer_readout(make_wave(pairs, delta), 20_000, seed=7)
+    scaled = (draws - 0.5e-14) ** 2 / (0.5 * delta)
+    assert stats.kstest(scaled, stats.chi2(3).cdf).pvalue > 1e-3
+
+
 def b_post_d2(g):
     """D2-postselected B-arm meter wave: equal weights, nonnegative mixture."""
     return [(-0.25, 0.0), (-0.25, g)]
