@@ -13,22 +13,17 @@ from .paths import (
     apply_beamsplitter_inverse,
     build_nested_mzi,
     evolve_to_stage,
-    projector_expectation,
 )
 from .meter import (
-    GaussianBranch,
     MeterConfig,
     MeterWave,
     NoPostselectedEventsError,
-    branch_overlap,
-    pointer_first_moment,
     sample_pointer_readout,
     wave_norm2,
     wave_pointer_mean,
 )
 from .evolution import (
     EntangledMetersError,
-    JointBranch,
     MeterAttachment,
     PathSum,
     PostselectResult,

@@ -41,6 +41,11 @@ OUTER = "outer"
 
 _MIRROR_ARMS = {"M1": "A", "M2": "B", "M3": "C"}
 
+#: Largest sample count ``simulate_traces`` accepts. Its arrays take about
+#: 240 bytes per sample, so the cap stays near 4 GB, and a larger count is
+#: rejected before anything is allocated.
+MAX_SAMPLES = 1 << 24
+
 
 @dataclass(frozen=True)
 class Mirror:
@@ -108,12 +113,16 @@ def power_spectrum(series, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
 
     Run durations are chosen bin-aligned (integer cycles of every vibration
     frequency), so rectangular windowing is leakage-free and a sinusoid of
-    amplitude a lands in a single bin with power (a*n/2)^2.
+    amplitude a lands in a single bin with power (a*n/2)^2. A spectrum that
+    is not finite in double precision raises ValueError.
     """
     x = np.asarray(series, dtype=float)
     if x.size < 16:
         raise ValueError(f"series too short for a spectrum: {x.size} < 16 samples")
-    power = np.abs(np.fft.rfft(x)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(np.fft.rfft(x)) ** 2
+    if not np.isfinite(power).all():
+        raise ValueError("power spectrum is out of double range")
     freqs = np.fft.rfftfreq(x.size, d=1.0 / sample_rate)
     return freqs, power
 
@@ -147,6 +156,8 @@ def simulate_traces(
     if mirrors and sample_rate <= 2.0 * max(m.frequency for m in mirrors):
         raise ValueError("sample rate violates Nyquist for the fastest enabled mirror")
     n_float = duration * sample_rate
+    if not (math.isfinite(n_float) and n_float <= MAX_SAMPLES):
+        raise ValueError(f"duration * sample_rate must be at most {MAX_SAMPLES}, got {n_float}")
     n = round(n_float)
     if abs(n_float - n) > 1e-9 or n < 16:
         raise ValueError("duration * sample_rate must be an integer of at least 16")
@@ -157,24 +168,27 @@ def simulate_traces(
     couplings = np.array(
         [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
     ).reshape(len(mirrors), n).T
-    stats = paths.statistics(couplings, DETECTORS)
+    # moments past double range overflow to inf or NaN here without a warning;
+    # their spectra are then rejected by power_spectrum
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = paths.statistics(couplings, DETECTORS)
 
-    series = {}
-    outer_prob = np.zeros(n)
-    outer_moment = np.zeros(n)
-    for det in DETECTORS:
-        prob, moment = stats[det]
-        seen = prob > NORM2_FLOOR
-        moment = np.where(seen, moment[:, 0], 0.0) if mirrors else np.zeros(n)
-        series[f"{det}_mean"] = np.divide(moment, prob, out=np.zeros(n), where=seen)
-        series[f"{det}_prob"] = prob
-        if det != "D3":
-            outer_prob += prob
-            outer_moment += moment
-    series[f"{OUTER}_mean"] = np.divide(
-        outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > NORM2_FLOOR
-    )
-    series[f"{OUTER}_prob"] = outer_prob
+        series = {}
+        outer_prob = np.zeros(n)
+        outer_moment = np.zeros(n)
+        for det in DETECTORS:
+            prob, moment = stats[det]
+            seen = prob > NORM2_FLOOR
+            moment = np.where(seen, moment[:, 0], 0.0) if mirrors else np.zeros(n)
+            series[f"{det}_mean"] = np.divide(moment, prob, out=np.zeros(n), where=seen)
+            series[f"{det}_prob"] = prob
+            if det != "D3":
+                outer_prob += prob
+                outer_moment += moment
+        series[f"{OUTER}_mean"] = np.divide(
+            outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > NORM2_FLOOR
+        )
+        series[f"{OUTER}_prob"] = outer_prob
 
     spectra = {k: power_spectrum(v, sample_rate) for k, v in series.items()}
     return TraceResult(times, sample_rate, series, spectra)
@@ -220,7 +234,7 @@ def readout_mode_compare(
     trace = simulate_traces(schedule, duration, sample_rate, delta, circuit)
     mirrors = schedule.enabled()
     g0_max = max((abs(m.amplitude) for m in mirrors), default=0.0)
-    floor = g0_max**2
+    floor = g0_max * g0_max  # inf past double range, where ** would raise
     weak_value_peaks = _peaks_above(trace.series["D2_mean"], sample_rate, mirrors, floor)
     mean_mode_peaks = {
         key: _peaks_above(trace.series[key], sample_rate, mirrors, floor)

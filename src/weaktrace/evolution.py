@@ -18,10 +18,11 @@ every quasi-static sample of a vibrating-mirror trace is one evaluation.
 Path shifts are G times the incidence rows; probabilities and pointer
 moments come from the closed-form Gram sums of ``meter.gram_sums``. Paths
 that end in the same arm with exactly equal shifts over the batch are
-merged by summing their amplitudes, and exact cancellations drop out, so
-the undisturbed dark port stays exactly empty. No tolerance decides a
-merge: shifts that differ in any bit stay separate terms, however small g
-is against the meter width.
+merged by ``meter.merge_equal_shifts``, the rule every ``MeterWave``
+follows: amplitudes are summed and exact cancellations drop out, so the
+undisturbed dark port stays exactly empty. No tolerance decides a merge:
+shifts that differ in any bit stay separate terms, however small g is
+against the meter width.
 
 Several attachments may share a ``meter_id``: they then kick the same
 pointer (the shared transverse-deviation meter of the vibrating-mirror
@@ -29,8 +30,9 @@ realization), with shifts adding up along each photon path.
 The compiled ``PathSum`` is the only joint-state representation: its
 merged terms per arm are the joint state, ``statistics`` reads
 probabilities and pointer moments from them, and ``postselect`` keeps one
-detector's terms at one coupling vector as a ``PostselectResult``, which
-factors a multi-meter conditional state exactly, by grouping equal shifts.
+detector's terms at one coupling vector as a ``PostselectResult``: arrays of
+coefficients (K,) and shifts (K, M), factored into one ``MeterWave`` per
+meter exactly, by grouping equal shifts.
 """
 
 from __future__ import annotations
@@ -40,15 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meter import (
-    NORM2_FLOOR,
-    GaussianBranch,
-    MeterConfig,
-    MeterWave,
-    NoPostselectedEventsError,
-    gram_sums,
-    wave_norm2,
-)
+from .meter import MeterConfig, MeterWave, gram_sums, merge_equal_shifts, wave_norm2
 from .paths import (
     ARM_FIRST_STAGE,
     ARM_LAST_STAGE,
@@ -98,14 +92,6 @@ class MeterAttachment:
                 f"arm {self.arm} is not live after stage {k} "
                 f"(live {ARM_FIRST_STAGE[self.arm]}..{ARM_LAST_STAGE[self.arm]})"
             )
-
-
-@dataclass(frozen=True)
-class JointBranch:
-    """Complex coefficient with one accumulated pointer shift per meter."""
-
-    coefficient: complex
-    shifts: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -196,15 +182,15 @@ class PathSum:
             stage=upto,
         )
 
-    def merged(self, couplings, arms=None) -> dict[str, tuple[list[complex], np.ndarray]]:
+    def merged(self, couplings, arms=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per final arm: merged amplitudes (K,) and meter shifts (K, B, M).
 
         ``couplings`` is the batch G, shape (B, number of attachments); path
-        p's shift of meter m is G times ``incidence[p, :, m]``. Paths of one
-        arm whose shifts are equal over the whole batch merge into one term
-        by summing amplitudes; exact-zero sums are dropped. With ``arms``
-        given, exactly those arms are returned (no terms if unreached);
-        otherwise every arm that keeps a term.
+        p's shift of meter m is G times ``incidence[p, :, m]``. The paths of
+        one arm are merged by ``merge_equal_shifts``: paths whose shifts are
+        equal over the whole batch become one term. With ``arms`` given,
+        exactly those arms are returned (no terms if unreached); otherwise
+        every arm that keeps a term, in order of the arm's first path.
         """
         g = np.asarray(couplings, dtype=float)
         n_att = self.incidence.shape[1]
@@ -212,20 +198,14 @@ class PathSum:
             raise ValueError(f"couplings must have shape (batch, {n_att}), got {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("couplings must be finite")
-        # adding 0.0 turns -0.0 into 0.0, so equal bytes mean equal shifts
-        shifts = g @ self.incidence + 0.0  # (P, B, M)
-        groups: dict[tuple[str, bytes], list] = {}
-        for p, (arm, c) in enumerate(zip(self.arms, self.amplitudes)):
-            if arms is None or arm in arms:
-                group = groups.setdefault((arm, shifts[p].tobytes()), [0j, p])
-                group[0] += c
-        terms: dict[str, tuple[list[complex], list[int]]] = {arm: ([], []) for arm in arms or ()}
-        for (arm, _), (c, p) in groups.items():
-            if c != 0:
-                coeffs, rows = terms.setdefault(arm, ([], []))
-                coeffs.append(c)
-                rows.append(p)
-        return {arm: (coeffs, shifts[rows]) for arm, (coeffs, rows) in terms.items()}
+        shifts = g @ self.incidence  # (P, B, M)
+        terms = {}
+        for arm in dict.fromkeys(self.arms if arms is None else arms):
+            paths = [p for p, a in enumerate(self.arms) if a == arm]
+            term = merge_equal_shifts([self.amplitudes[p] for p in paths], shifts[paths])
+            if arms is not None or term[0].size:
+                terms[arm] = term
+        return terms
 
     def statistics(self, couplings, arms) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per requested arm: probability (B,) and un-normalized moments (B, M).
@@ -248,31 +228,22 @@ class PathSum:
         _check_detector(detector)
         coeffs, shifts = self.merged([couplings], (detector,))[detector]
         prob, _ = gram_sums(coeffs, shifts, [cfg.delta for cfg in self.configs])
-        branches = tuple(JointBranch(c, tuple(s)) for c, (s,) in zip(coeffs, shifts.tolist()))
-        return PostselectResult(float(prob[0]), branches, self.meter_ids, self.configs)
+        return PostselectResult(float(prob[0]), coeffs, shifts[:, 0], self.meter_ids, self.configs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PostselectResult:
-    """Un-normalized conditional meter state after projecting onto a detector."""
+    """Un-normalized conditional meter state after projecting onto a detector.
+
+    The state is sum_k coefficients[k] prod_m |G_{shifts[k, m]}> over the
+    meters ``meter_ids``, shifts of shape (K, M).
+    """
 
     probability: float
-    branches: tuple[JointBranch, ...]
+    coefficients: np.ndarray
+    shifts: np.ndarray
     meter_ids: tuple[str, ...]
     configs: tuple[MeterConfig, ...]
-
-    def pointer_mean(self, meter_id: str) -> float:
-        """Conditional <Q> of one meter given the detector fired."""
-        if self.probability <= NORM2_FLOOR:
-            raise NoPostselectedEventsError("postselection probability is zero")
-        slot = self.meter_ids.index(meter_id)
-        shifts = np.array([b.shifts for b in self.branches], dtype=float)
-        _, moment = gram_sums(
-            [b.coefficient for b in self.branches],
-            shifts.reshape(len(self.branches), 1, len(self.configs)),
-            [cfg.delta for cfg in self.configs],
-        )
-        return float(moment[0, slot]) / self.probability
 
     @property
     def meter_waves(self) -> tuple[MeterWave, ...]:
@@ -288,29 +259,22 @@ class PostselectResult:
         with an arbitrary global phase.
         """
         if len(self.meter_ids) == 1:
-            return (
-                MeterWave(
-                    tuple(GaussianBranch(b.coefficient, b.shifts[0]) for b in self.branches),
-                    self.configs[0],
-                ),
-            )
+            return (MeterWave(self.coefficients, self.shifts[:, 0], self.configs[0]),)
         return tuple(self._factor_slot(k) for k in range(len(self.meter_ids)))
 
     def _factor_slot(self, slot: int) -> MeterWave:
-        if not self.branches:
-            return MeterWave((), self.configs[slot])
+        config = self.configs[slot]
+        if not self.coefficients.size:
+            return MeterWave([], [], config)
         # row and column indices in order of first appearance; float keys
         # compare by value, so equal shifts share an index
         rows: dict[float, int] = {}
         cols: dict[tuple[float, ...], int] = {}
-        cells = []
-        for b in self.branches:
-            i = rows.setdefault(b.shifts[slot], len(rows))
-            j = cols.setdefault(b.shifts[:slot] + b.shifts[slot + 1:], len(cols))
-            cells.append((i, j, b.coefficient))
+        i = [rows.setdefault(s, len(rows)) for s in self.shifts[:, slot].tolist()]
+        others = np.delete(self.shifts, slot, axis=1).tolist()
+        j = [cols.setdefault(tuple(s), len(cols)) for s in others]
         mat = np.zeros((len(rows), len(cols)), dtype=complex)
-        for i, j, c in cells:
-            mat[i, j] += c
+        np.add.at(mat, (i, j), self.coefficients)
         i0, j0 = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
         u = mat[:, j0]
         residual = mat - np.outer(u, mat[i0] / mat[i0, j0])
@@ -318,13 +282,10 @@ class PostselectResult:
             raise EntangledMetersError(
                 f"meter {self.meter_ids[slot]!r}: conditional state is entangled across meters"
             )
-        raw = MeterWave(tuple(map(GaussianBranch, u, rows)), self.configs[slot])
+        raw = MeterWave(u, list(rows), config)
         n2 = wave_norm2(raw)
         scale = np.sqrt(self.probability / n2) if n2 > 0 else 0.0
-        return MeterWave(
-            tuple(GaussianBranch(b.coefficient * scale, b.shift) for b in raw.branches),
-            self.configs[slot],
-        )
+        return MeterWave(raw.coefficients * scale, raw.shifts, config)
 
 
 def arm_occupation(

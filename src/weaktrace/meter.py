@@ -22,12 +22,15 @@ so pointer readouts are drawn from it exactly, by rejection where some w_ij
 is negative. When every w_ij >= 0 the mixture's components are Gaussians of
 one variance, so the count, mean and M2 of n readouts are drawn from their
 exact joint law in O(components) work, whatever n; a signed wave keeps
-per-draw rejection. A ``MeterWave`` merges only branches whose shifts are
-exactly equal, so two branches far closer than the meter width stay two
-branches; the Gram sums and the signed sampler's envelope ratio contain no
-1/(a_i - a_j) and stay accurate for them. No quantity is ever discretized
-on a grid and no tolerance merges branches; the only error left is double
-rounding.
+per-draw rejection.
+
+A ``MeterWave`` is two arrays, coefficients c_i and shifts a_i, plus its
+``MeterConfig``. ``merge_equal_shifts`` is the one merge rule, here and for
+the joint state in ``evolution``: only exactly equal shifts merge, so two
+branches far closer than the meter width stay two branches; the Gram sums
+and the signed sampler's envelope ratio contain no 1/(a_i - a_j) and stay
+accurate for them. No quantity is ever discretized on a grid and no
+tolerance merges branches; the only error left is double rounding.
 """
 
 from __future__ import annotations
@@ -71,53 +74,42 @@ class MeterConfig:
             raise ValueError(f"delta must be positive, finite and normal, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class GaussianBranch:
-    """One shifted Gaussian: complex coefficient and accumulated displacement."""
+def merge_equal_shifts(coefficients, shifts) -> tuple[np.ndarray, np.ndarray]:
+    """Sum the coefficients of exactly equal shift rows.
 
-    coefficient: complex
-    shift: float
+    ``shifts`` has one row per coefficient, of any trailing shape. Rows are
+    compared bit for bit after adding 0.0, which turns -0.0 into 0.0, so
+    rows that differ in any bit stay separate. Groups keep the order of
+    their first row, and exact-zero sums (destructive interference) are
+    dropped. Returns the merged coefficients (K,) and shift rows.
+    """
+    s = np.asarray(shifts, dtype=float) + 0.0
+    groups: dict[bytes, list] = {}
+    for k, c in enumerate(coefficients):
+        groups.setdefault(s[k].tobytes(), [0j, k])[0] += c
+    kept = [(c, k) for c, k in groups.values() if c != 0]
+    return np.array([c for c, _ in kept], dtype=complex), s[[k for _, k in kept]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeterWave:
-    """Finite combination of shifted Gaussians sharing one MeterConfig.
+    """The wave sum_k c_k G_{s_k} of shifted Gaussians sharing one MeterConfig.
 
-    Branches with exactly equal shifts are merged on construction by summing
-    their coefficients, and exact-zero sums (destructive interference) are
-    dropped. Shifts that differ in any bit stay separate branches.
+    ``coefficients`` (K,) and ``shifts`` (K,) are merged on construction by
+    ``merge_equal_shifts``.
     """
 
-    branches: tuple[GaussianBranch, ...]
+    coefficients: np.ndarray
+    shifts: np.ndarray
     config: MeterConfig
 
     def __post_init__(self) -> None:
-        merged: dict[float, complex] = {}
-        for b in self.branches:
-            # adding 0.0 turns -0.0 into 0.0, as in PathSum.merged
-            shift = float(b.shift) + 0.0
-            merged[shift] = merged.get(shift, 0j) + complex(b.coefficient)
-        branches = tuple(GaussianBranch(c, s) for s, c in merged.items() if c != 0)
-        object.__setattr__(self, "branches", branches)
-
-    def translated(self, t: float) -> "MeterWave":
-        """Rigidly displace the whole wave by ``t``."""
-        return MeterWave(
-            tuple(GaussianBranch(b.coefficient, b.shift + t) for b in self.branches),
-            self.config,
-        )
-
-
-def branch_overlap(a: float, b: float, delta: float) -> float:
-    """<G_a|G_b> for unit-normalized Gaussians of squared width ``delta``."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return math.exp(-((a - b) ** 2) / (4.0 * delta))
-
-
-def pointer_first_moment(a: float, b: float, delta: float) -> float:
-    """<G_a|Q|G_b>: the overlap weighted by the midpoint of the two shifts."""
-    return 0.5 * (a + b) * branch_overlap(a, b, delta)
+        c = np.asarray(self.coefficients, dtype=complex)
+        if c.ndim != 1 or np.shape(self.shifts) != c.shape:
+            raise ValueError("a meter wave needs one shift per coefficient")
+        c, s = merge_equal_shifts(c, self.shifts)
+        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "shifts", s)
 
 
 def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +149,7 @@ def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _wave_gram(w: MeterWave) -> tuple[float, float]:
-    shifts = np.array([b.shift for b in w.branches], dtype=float).reshape(-1, 1, 1)
-    norm2, moment = gram_sums([b.coefficient for b in w.branches], shifts, [w.config.delta])
+    norm2, moment = gram_sums(w.coefficients, w.shifts.reshape(-1, 1, 1), [w.config.delta])
     return float(norm2[0]), float(moment[0, 0])
 
 
@@ -254,8 +245,7 @@ def _envelope_log_bound(alpha, beta, a0, a1, delta, mean, eps) -> float:
 
 def _mixture_terms(w: MeterWave):
     """Coefficients c, shifts a, and the weights w_ij and means of |w|^2."""
-    c = np.array([b.coefficient for b in w.branches], dtype=complex)
-    a = np.array([b.shift for b in w.branches], dtype=float)
+    c, a = w.coefficients, w.shifts
     i, j = np.triu_indices(len(c))
     weights = np.where(i == j, 1.0, 2.0) * (c[i].conjugate() * c[j]).real
     # as in gram_sums, a distance past double range is an overlap of exactly 0
@@ -307,9 +297,7 @@ def _readout_chunks(w: MeterWave, n: int, rng: np.random.Generator):
         # up to a global phase c0 = alpha, c1 = -beta e^{i phi} with cos phi > 0:
         # |w|^2 = (alpha G_a0 - beta G_a1)^2 + 2 alpha beta (1 - cos phi) G_a0 G_a1,
         # and the second part is overlap * N((a0 + a1)/2, delta/2)
-        real = MeterWave(
-            (GaussianBranch(abs(c[0]), a[0]), GaussianBranch(-abs(c[1]), a[1])), w.config
-        )
+        real = MeterWave(np.abs(c) * [1.0, -1.0], a, w.config)
         real_n2 = _wave_gram(real)[0]
         # 2 alpha beta (1 - cos phi) = 2 Im^2 / (|cross| - Re), free of cancellation
         overlap = math.exp(-((a[0] - a[1]) ** 2) / (4.0 * delta))
@@ -406,19 +394,16 @@ def _readout_moments(w: MeterWave, n: int, rng: np.random.Generator):
     return acc
 
 
-def sample_with_rng(w: MeterWave, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` exact i.i.d. draws from |wave|^2 / norm2 using an existing generator.
+def sample_pointer_readout(w: MeterWave, n: int, seed: int | np.random.Generator) -> np.ndarray:
+    """``n`` independent projective pointer readouts from |w|^2 / norm2.
 
-    The draws come in a uniformly random order, so any prefix is itself an
-    i.i.d. sample.
+    ``seed`` is an int, deterministic per value, or a ``np.random.Generator``
+    to draw from. The draws come in a uniformly random order, so any prefix
+    is itself an i.i.d. sample.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    rng = np.random.default_rng(seed)
     draws = np.concatenate(list(_readout_chunks(w, n, rng)))
     rng.shuffle(draws)
     return draws
-
-
-def sample_pointer_readout(w: MeterWave, n: int, seed: int) -> np.ndarray:
-    """``n`` independent projective pointer readouts, deterministic per seed."""
-    return sample_with_rng(w, n, np.random.default_rng(seed))

@@ -92,9 +92,6 @@ class PhotonState:
     def norm2(self) -> float:
         return float(sum(abs(c) ** 2 for c in self.amplitudes.values()))
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(a for a in ARMS if abs(self.amplitudes.get(a, 0.0)) > ATOL)
-
 
 @dataclass(frozen=True)
 class BeamSplitter:
@@ -210,8 +207,3 @@ def evolve_to_stage(circuit: Circuit, state: PhotonState, k: int) -> PhotonState
     for bs in circuit.stages[:k]:
         state = apply_beamsplitter(state, bs)
     return state
-
-
-def projector_expectation(state: PhotonState, arm: str) -> float:
-    """Probability |<arm|state>|^2 of finding the photon in the given arm."""
-    return float(abs(state.amplitude(arm)) ** 2)

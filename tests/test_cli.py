@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
@@ -239,12 +239,23 @@ def test_invalid_configuration_exit_code(capsys):
     capsys.readouterr()
 
 
+DANAN_BOUNDARY = (
+    ["danan", "--duration", "inf"],
+    ["danan", "--rate", "1e308", "--duration", "1e308"],
+    ["danan", "--rate", "1e12", "--duration", "1"],  # rejected before any allocation
+    ["danan", "--g", "1e300"],
+    ["danan", "--mode", "mean", "--g", "1e160"],
+)
+
+
 def test_extreme_scales_warn_nothing(capsys):
     # a meter distance past double range is an overlap of exactly 0 and a gap
     # whose square underflows disqualifies the envelope: neither is a
-    # floating-point warning, so stderr holds only the one-line diagnostic
+    # floating-point warning, so stderr holds only the one-line diagnostic;
+    # so do a danan sample count or power spectrum past double range
     for argv in (["sweep", "--arm", "C", "--g=1e300", "--delta=1e-300", "--mc-n=100"],
-                 ["sweep", "--arm", "C", "--g=1e-300", "--delta=1e300", "--mc-n=100"]):
+                 ["sweep", "--arm", "C", "--g=1e-300", "--delta=1e300", "--mc-n=100"],
+                 *DANAN_BOUNDARY):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run_cli(capsys, *argv)
@@ -296,6 +307,15 @@ def _options(**values):
     return [f"--{name.replace('_', '-')}={v}" for name, v in values.items() if v is not None]
 
 
+def _danan_samples(argv):
+    """rate x duration of a danan argv (defaults 256 and 1); NaN if either is malformed."""
+    opts = dict(arg[2:].split("=", 1) for arg in argv[1:] if "=" in arg)
+    try:
+        return float(opts.get("rate", "256")) * float(opts.get("duration", "1"))
+    except ValueError:
+        return math.nan
+
+
 ARGV = st.one_of(
     st.builds(lambda arm, post, g, delta, mc_n, seed: ["sweep", *_options(
         arm=arm, post=post, g=g, delta=delta, mc_n=mc_n, seed=seed)],
@@ -307,11 +327,29 @@ ARGV = st.one_of(
               st.none() | GRID, st.none() | NUMBER),
     st.builds(lambda post, delta: ["weak-values", *_options(post=post, delta=delta)],
               POST, st.none() | NUMBER),
+    # a finite rate x duration stays under about 1e5 samples, so no run allocates much
+    st.builds(lambda mode, mirrors, read, g, freqs, rate, duration, delta, spectrum: [
+        "danan", *_options(mode=mode, mirrors=mirrors, read=read, g=g, freqs=freqs, rate=rate,
+                           duration=duration, delta=delta), *spectrum],
+        st.none() | st.sampled_from(["weakvalue", "mean", "both"]),
+        st.none() | st.sampled_from(["M1,M2,M3", "M2", "M1,M3", "", "M4"]),
+        st.none() | st.sampled_from(["D1", "D2", "D3", "outer", "E"]),
+        st.none() | NUMBER | st.sampled_from(["1e-3", "1e150", "1e160", "1e300"]),
+        st.none() | GRID | st.sampled_from(["3,5,7", "1,2,3", "3,3,7"]),
+        st.none() | NUMBER | st.sampled_from(["16", "64", "256"]),
+        st.none() | NUMBER | st.sampled_from(["0.25", "1", "2"]),
+        st.none() | NUMBER, st.sampled_from([[], ["--spectrum"]]),
+    ).filter(lambda argv: not 1e5 < abs(_danan_samples(argv)) < math.inf),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(argv=ARGV, as_json=st.booleans())
+@example(argv=DANAN_BOUNDARY[0], as_json=False)
+@example(argv=DANAN_BOUNDARY[1], as_json=False)
+@example(argv=DANAN_BOUNDARY[2], as_json=False)
+@example(argv=DANAN_BOUNDARY[3], as_json=False)
+@example(argv=DANAN_BOUNDARY[4], as_json=True)
 def test_fuzzed_argv_exit_codes(argv, as_json):
     # malformed, non-finite and out-of-range input exits 2 (argparse's usage
     # errors arrive as SystemExit(2)); nothing may escape as a traceback

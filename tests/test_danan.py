@@ -14,6 +14,7 @@ from weaktrace import (
     simulate_traces,
     sinusoid_amplitude,
 )
+from weaktrace import danan
 
 DELTA = 1.0
 RATE = 256.0
@@ -154,6 +155,32 @@ def test_power_spectrum_pure_and_mixed_sinusoids():
 def test_power_spectrum_too_short():
     with pytest.raises(ValueError):
         power_spectrum(np.ones(8), 16.0)
+
+
+def test_power_spectrum_out_of_double_range():
+    # |rfft|^2 of a 1e300 sinusoid overflows: rejected, never inf and never a warning
+    t = np.arange(64) / 64.0
+    with pytest.raises(ValueError, match="double range"):
+        power_spectrum(1e300 * np.sin(2 * np.pi * 3 * t), 64.0)
+    with pytest.raises(ValueError, match="double range"):
+        power_spectrum(np.full(16, np.inf), 16.0)
+    for g in (1e160, 1e300, 1.7e308):
+        with pytest.raises(ValueError, match="double range"):
+            readout_mode_compare(default_schedule(g), DURATION, RATE, DELTA)
+
+
+def test_sample_count_rejected_before_allocation(monkeypatch):
+    # an infinite, NaN or oversized sample count is rejected before any array of
+    # that length exists: the time grid is the first allocation of length n
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a sample grid was allocated")
+
+    monkeypatch.setattr(danan.np, "arange", no_allocation)
+    schedule = default_schedule(1e-2)
+    for duration, rate in ((float("inf"), RATE), (1e308, 1e308), (1.0, 1e12),
+                           (float("nan"), RATE), (1.0, danan.MAX_SAMPLES + 1.0)):
+        with pytest.raises(ValueError, match="at most"):
+            simulate_traces(schedule, duration, rate, DELTA)
 
 
 def test_simulate_traces_validation():

@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from weaktrace import (
-    GaussianBranch,
     MeterConfig,
     MeterWave,
     NoPostselectedEventsError,
-    branch_overlap,
-    pointer_first_moment,
     sample_pointer_readout,
     wave_norm2,
     wave_pointer_mean,
@@ -26,41 +23,53 @@ import oracles
 
 
 def make_wave(pairs, delta=1.0):
-    return MeterWave(tuple(GaussianBranch(c, s) for c, s in pairs), MeterConfig(delta))
+    return MeterWave([c for c, _ in pairs], [s for _, s in pairs], MeterConfig(delta))
+
+
+def pair_sums(a, b, delta):
+    """Squared norm 2 + 2 <G_a|G_b> and first moment a + b + 2 <G_a|Q|G_b> of G_a + G_b."""
+    norm2, moment = meter.gram_sums([1.0, 1.0], [[[a]], [[b]]], [delta])
+    return float(norm2[0]), float(moment[0, 0])
 
 
 def test_overlap_normalization_and_symmetry():
-    assert abs(branch_overlap(0.7, 0.7, 2.3) - 1.0) < 1e-15
-    assert branch_overlap(0.1, 0.9, 1.7) == branch_overlap(0.9, 0.1, 1.7)
+    # |G_a + G_a|^2 = 4 <G_a|G_a>, merged or not
+    assert abs(wave_norm2(make_wave([(1.0, 0.7), (1.0, 0.7)], 2.3)) - 4.0) < 1e-15
+    assert abs(pair_sums(0.7, 0.7, 2.3)[0] - 4.0) < 1e-15
+    assert wave_norm2(make_wave([(1.0, 0.1), (1.0, 0.9)], 1.7)) == wave_norm2(
+        make_wave([(1.0, 0.9), (1.0, 0.1)], 1.7)
+    )
 
 
 def test_overlap_closed_form_vs_quadrature():
-    # frozen via the quadrature oracle: exp(-1/4)
-    assert abs(branch_overlap(0.0, 1.0, 1.0) - 0.7788007830714049) < 1e-12
+    # frozen via the quadrature oracle: <G_0|G_1> = exp(-1/4)
+    overlap = 0.5 * wave_norm2(make_wave([(1.0, 0.0), (1.0, 1.0)])) - 1.0
+    assert abs(overlap - 0.7788007830714049) < 1e-12
     for a, b, d in [(0.0, 1.0, 1.0), (-0.6, 1.3, 0.5), (2.0, -2.0, 3.0)]:
-        assert abs(branch_overlap(a, b, d) - oracles.quad_overlap(a, b, d)) < 1e-10
+        overlap = 0.5 * pair_sums(a, b, d)[0] - 1.0
+        assert abs(overlap - oracles.quad_overlap(a, b, d)) < 1e-10
 
 
 def test_overlap_scale_symmetry():
     for g, d in [(0.5, 1.0), (1.2, 0.3)]:
-        assert abs(branch_overlap(0, g, d) - branch_overlap(0, 2 * g, 4 * d)) < 1e-15
+        wide = make_wave([(1.0, 0.0), (-1.0, 2 * g)], 4 * d)
+        assert abs(wave_norm2(make_wave([(1.0, 0.0), (-1.0, g)], d)) - wave_norm2(wide)) < 1e-15
 
 
 def test_overlap_rejects_bad_delta():
-    with pytest.raises(ValueError):
-        branch_overlap(0.0, 1.0, 0.0)
-    for delta in (-1.0, float("inf"), float("nan"), 5e-324):
+    for delta in (0.0, -1.0, float("inf"), float("nan"), 5e-324):
         with pytest.raises(ValueError):
             MeterConfig(delta)
 
 
 def test_first_moment_examples():
-    assert pointer_first_moment(0.0, 0.0, 1.7) == 0.0
-    assert abs(pointer_first_moment(0.9, 0.9, 0.4) - 0.9) < 1e-15
-    # frozen via the quadrature oracle: 0.5 * exp(-1/4)
-    assert abs(pointer_first_moment(0.0, 1.0, 1.0) - 0.38940039153570244) < 1e-12
+    assert pair_sums(0.0, 0.0, 1.7)[1] == 0.0
+    assert abs(wave_pointer_mean(make_wave([(1.0, 0.9), (1.0, 0.9)], 0.4)) - 0.9) < 1e-15
+    # frozen via the quadrature oracle: <G_0|Q|G_1> = 0.5 * exp(-1/4)
+    assert abs(pair_sums(0.0, 1.0, 1.0)[1] - (1.0 + 2 * 0.38940039153570244)) < 1e-12
     for a, b, d in [(0.0, 1.0, 1.0), (-0.4, 0.9, 2.0)]:
-        assert abs(pointer_first_moment(a, b, d) - oracles.quad_first_moment(a, b, d)) < 1e-10
+        cross = 0.5 * (pair_sums(a, b, d)[1] - a - b)
+        assert abs(cross - oracles.quad_first_moment(a, b, d)) < 1e-10
 
 
 def test_single_branch_wave():
@@ -88,13 +97,23 @@ def test_unequal_coefficient_wave_frozen_value():
 
 def test_coincident_branches_merge():
     w = make_wave([(0.4, 0.2), (0.1, 0.2)])
-    assert len(w.branches) == 1
-    assert abs(w.branches[0].coefficient - 0.5) < 1e-15
-    assert make_wave([(0.5, 0.0), (0.25, -0.0)]).branches == (GaussianBranch(0.75, 0.0),)
+    assert w.shifts.tolist() == [0.2]
+    assert abs(w.coefficients[0] - 0.5) < 1e-15
+    signed = make_wave([(0.5, 0.0), (0.25, -0.0)])
+    assert signed.coefficients.tolist() == [0.75] and signed.shifts.tolist() == [0.0]
+    assert math.copysign(1.0, signed.shifts[0]) == 1.0
+    # groups keep the order of first appearance; exact-zero sums drop out
+    w3 = make_wave([(1.0, 0.3), (0.5, -0.1), (2.0, 0.3), (0.5j, 0.7), (-0.5j, 0.7)])
+    assert w3.shifts.tolist() == [0.3, -0.1] and w3.coefficients.tolist() == [3.0, 0.5]
     # merging is exact: distinct shifts stay distinct however close they are
     near = make_wave([(0.4, 0.2), (0.1, 0.2 + 1e-15)])
-    assert len(near.branches) == 2
+    assert near.shifts.size == 2
     assert abs(wave_norm2(near) - wave_norm2(w)) < 1e-15
+    # the joint-state rule is the same one, applied to rows of shifts
+    coeffs, rows = meter.merge_equal_shifts([1.0, 2.0, 3.0], [[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0]])
+    assert coeffs.tolist() == [3.0, 3.0] and rows.tolist() == [[0.0, 1.0], [0.0, 2.0]]
+    with pytest.raises(ValueError):
+        MeterWave([1.0, 2.0], [0.0], MeterConfig(1.0))
 
 
 def test_zero_norm_wave_raises():
@@ -117,7 +136,7 @@ def test_translation_covariance():
         if wave_norm2(w) < 1e-12:
             continue
         t = rng.uniform(-5, 5)
-        shifted = w.translated(t)
+        shifted = MeterWave(w.coefficients, w.shifts + t, w.config)
         assert abs(wave_norm2(shifted) - wave_norm2(w)) < 1e-12
         assert abs(wave_pointer_mean(shifted) - wave_pointer_mean(w) - t) < 1e-10
 
@@ -162,6 +181,8 @@ def test_sampling_seed_contract():
     c = sample_pointer_readout(w, 2000, seed=2)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+    # a generator is drawn from as it stands: an int seed is default_rng(seed)
+    np.testing.assert_array_equal(a, sample_pointer_readout(w, 2000, np.random.default_rng(1)))
     # different seeds still agree distributionally
     assert abs(a.mean() - c.mean()) < 6 * a.std() / math.sqrt(a.size)
 
@@ -281,7 +302,7 @@ def test_readout_moments_match_materialised_draws(pairs, delta):
                       for s in range(2000)])
     direct = []
     for s in range(2000):
-        x = meter.sample_with_rng(w, n, np.random.default_rng(10**6 + s))
+        x = sample_pointer_readout(w, n, np.random.default_rng(10**6 + s))
         direct.append((x.mean(), np.sum((x - x.mean()) ** 2)))
     direct = np.array(direct)
     for column in range(2):
