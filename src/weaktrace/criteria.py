@@ -29,11 +29,8 @@ import numpy as np
 from .evolution import MeterAttachment, PathSum, arm_occupation
 from .meter import NORM2_FLOOR, MeterConfig, NoPostselectedEventsError, _readout_moments
 from .paths import (
-    ARM_FIRST_STAGE,
     Circuit,
     PhotonState,
-    _check_arm,
-    _check_detector,
     apply_beamsplitter_inverse,
     build_nested_mzi,
     evolve_to_stage,
@@ -69,7 +66,7 @@ def _path_weak_value(paths: PathSum, detector: str) -> complex:
     the paths that end at the detector; the projector-inserted one keeps
     only those among them that cross the probe.
     """
-    _check_arm(detector)
+    paths.circuit.require_detector(detector)
     ending = [p for p, arm in enumerate(paths.arms) if arm == detector]
     den = sum(paths.amplitudes[p] for p in ending)
     if abs(den) < _DENOM_FLOOR:
@@ -103,6 +100,7 @@ def tsvf_backward_state(
     amplitudes without ever evolving past the stage.
     """
     circuit = _default_circuit(circuit)
+    circuit.require_detector(detector)
     if not 0 <= stage <= len(circuit):
         raise ValueError(f"stage index {stage} out of range 0..{len(circuit)}")
     state = PhotonState.basis(detector)
@@ -120,7 +118,7 @@ def weak_value_tsvf(
     """Weak value from the two-state pairing <Phi|Pi_arm|Psi> / <Phi|Psi>."""
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    k = ARM_FIRST_STAGE[arm]
+    k = circuit.live_stages(arm).start
     forward = evolve_to_stage(circuit, in_state, k)
     backward = tsvf_backward_state(detector, k, circuit)
     den = sum(
@@ -191,7 +189,7 @@ def weak_value_operational(
         raise ValueError("g sweep must be strictly decreasing")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    _check_detector(detector)
+    circuit.require_detector(detector)
     paths = PathSum.compile(circuit, in_state, _probe(arm, g_list[0], delta))
     prob, moment = paths.statistics([[g] for g in g_list], (detector,))[detector]
     for g, p in zip(g_list, prob):
@@ -294,7 +292,7 @@ def weak_mean_value(
     if norm2 <= NORM2_FLOOR:
         raise NoPostselectedEventsError("state has zero norm")
     mean = sum(float(moment[0, 0]) for _, moment in stats.values()) / norm2
-    limit = arm_occupation(circuit, in_state, (), arm, ARM_FIRST_STAGE[arm])
+    limit = arm_occupation(circuit, in_state, (), arm, circuit.live_stages(arm).start)
     ratio = mean / g if g > 0 else None
     return MeanValueRecord(arm, g, mean, ratio, limit)
 
@@ -304,7 +302,7 @@ class DiscontinuityRow:
     """One coupling strength of the dark-port bookkeeping table."""
 
     g: float
-    e_occupation: float  # P(photon in E after BS3), B-meter attached
+    e_occupation: float  # P(photon in E from the stage that produces it), B-meter attached
     pointer_ratio: float | None  # D2-postselected <Q>/g; None at g = 0
     analogy_ratio: float | None  # f(g)/g for the scalar analogy f(x) = a x
 
@@ -357,10 +355,17 @@ def discontinuity_report(
         raise ValueError("g grid must be strictly decreasing")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
+    missing = [arm for arm in ("B", "E") if arm not in circuit.live]
+    if "D2" not in circuit.detectors:
+        missing.append("D2")
+    if missing:
+        raise ValueError(f"the discontinuity report needs arms B, E and detector D2; "
+                         f"the circuit lacks {', '.join(missing)}")
 
     record = weak_value_operational("B", "D2", g_grid, delta, in_state, circuit)
     slope = record.limit
-    inner = PathSum.compile(circuit, in_state, _probe("B", g_grid[0], delta), upto=3)
+    probe = _probe("B", g_grid[0], delta)
+    inner = PathSum.compile(circuit, in_state, probe, upto=circuit.live["E"].start)
     p_e, _ = inner.statistics([[g] for g in g_grid], ("E",))["E"]
     rows = tuple(
         DiscontinuityRow(g, float(p), ratio, slope) for (g, ratio), p in zip(record.estimates, p_e)

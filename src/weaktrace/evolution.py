@@ -38,21 +38,12 @@ meter exactly, by grouping equal shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .meter import MeterConfig, MeterWave, gram_sums, merge_equal_shifts, wave_norm2
-from .paths import (
-    ARM_FIRST_STAGE,
-    ARM_LAST_STAGE,
-    ATOL,
-    Circuit,
-    PhotonState,
-    PipelineError,
-    _check_arm,
-    _check_detector,
-)
+from .paths import ATOL, Circuit, PhotonState, PipelineError, _check_arm
 
 
 class EntangledMetersError(ValueError):
@@ -64,8 +55,8 @@ class MeterAttachment:
     """One coupling: meter ``meter_id`` measures the projector onto ``arm``.
 
     ``insert_after`` is the number of stages applied before the coupling
-    acts; by default the first stage at which the arm is live (B after BS2,
-    E after BS3, and so on).
+    acts; by default the first stage at which the circuit the attachment is
+    compiled into makes the arm live (``Circuit.live``).
     """
 
     meter_id: str
@@ -79,20 +70,6 @@ class MeterAttachment:
         if not math.isfinite(self.g):
             raise ValueError(f"coupling g must be finite, got {self.g}")
 
-    @property
-    def insertion_stage(self) -> int:
-        if self.insert_after is None:
-            return ARM_FIRST_STAGE[self.arm]
-        return self.insert_after
-
-    def validate(self) -> None:
-        k = self.insertion_stage
-        if not ARM_FIRST_STAGE[self.arm] <= k <= ARM_LAST_STAGE[self.arm]:
-            raise ValueError(
-                f"arm {self.arm} is not live after stage {k} "
-                f"(live {ARM_FIRST_STAGE[self.arm]}..{ARM_LAST_STAGE[self.arm]})"
-            )
-
 
 @dataclass(frozen=True)
 class PathSum:
@@ -102,7 +79,8 @@ class PathSum:
     amplitude times the beamsplitter entries along the path.
     ``incidence[p, a, m]`` is 1 iff path p crosses attachment a and that
     attachment kicks meter m. Couplings are supplied per evaluation, so one
-    compiled sum serves any batch of coupling vectors.
+    compiled sum serves any batch of coupling vectors. ``circuit`` is the
+    circuit it was compiled from.
     """
 
     arms: tuple[str, ...]
@@ -111,6 +89,7 @@ class PathSum:
     meter_ids: tuple[str, ...]
     configs: tuple[MeterConfig, ...]
     stage: int
+    circuit: Circuit = field(repr=False, compare=False)
 
     @classmethod
     def compile(
@@ -123,7 +102,8 @@ class PathSum:
         """Enumerate the paths of ``input_state`` through ``upto`` stages.
 
         The attachments fix the layout (meter, arm, insertion stage, delta);
-        their ``g`` values are not used here.
+        their ``g`` values are not used here. Each insertion stage must lie in
+        the circuit's live range of the attachment's arm.
         """
         upto = len(circuit) if upto is None else upto
         if not 0 <= upto <= len(circuit):
@@ -134,7 +114,10 @@ class PathSum:
         # attachment indices by (insertion stage, arm)
         acting: dict[tuple[int, str], tuple[int, ...]] = {}
         for a, att in enumerate(attachments):
-            att.validate()
+            live = circuit.live_stages(att.arm)
+            k = live.start if att.insert_after is None else att.insert_after
+            if k not in live:
+                raise ValueError(f"arm {att.arm} is not live after stage {k}")
             if att.meter_id not in meter_ids:
                 meter_ids.append(att.meter_id)
                 configs.append(att.config)
@@ -142,7 +125,7 @@ class PathSum:
             if configs[slot].delta != att.config.delta:
                 raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
             slots.append(slot)
-            key = (att.insertion_stage, att.arm)
+            key = (k, att.arm)
             acting[key] = acting.get(key, ()) + (a,)
 
         # a path is (current arm, amplitude, indices of the attachments crossed)
@@ -180,6 +163,7 @@ class PathSum:
             meter_ids=tuple(meter_ids),
             configs=tuple(configs),
             stage=upto,
+            circuit=circuit,
         )
 
     def merged(self, couplings, arms=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -223,9 +207,12 @@ class PathSum:
         """Project onto a detector arm at one coupling vector (one g per attachment).
 
         Returns the detection probability and the detector's merged terms as
-        the un-normalized conditional meter state.
+        the un-normalized conditional meter state. The detector must be live
+        at the sum's stage.
         """
-        _check_detector(detector)
+        self.circuit.require_detector(detector)
+        if self.stage not in self.circuit.live[detector]:
+            raise ValueError(f"detector {detector} is not live after stage {self.stage}")
         coeffs, shifts = self.merged([couplings], (detector,))[detector]
         prob, _ = gram_sums(coeffs, shifts, [cfg.delta for cfg in self.configs])
         return PostselectResult(float(prob[0]), coeffs, shifts[:, 0], self.meter_ids, self.configs)
@@ -299,10 +286,7 @@ def arm_occupation(
 
     Meters are marginalized; exact at any coupling strength.
     """
-    _check_arm(arm)
-    if not 0 <= stage <= len(circuit):
-        raise ValueError(f"stage index {stage} out of range 0..{len(circuit)}")
-    if not ARM_FIRST_STAGE[arm] <= stage <= ARM_LAST_STAGE[arm]:
+    if stage not in circuit.live_stages(arm):
         raise ValueError(f"arm {arm} is not live at stage {stage}")
     paths = PathSum.compile(circuit, input_state, attachments, upto=stage)
     prob, _ = paths.statistics([[att.g for att in attachments]], (arm,))[arm]

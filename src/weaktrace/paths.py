@@ -14,14 +14,16 @@ to input kets,
     (|out1>, |out2>)^T = transfer (|in1>, |in2>)^T,
     transfer = (1/sqrt 2) [[1, i], [i, 1]],
 
-which acts on amplitude vectors through its conjugate transpose:
-``a_out = transfer^dagger @ a_in``, i.e. ``|in1> -> (|out1> - i|out2>)/sqrt2``
+so ``|in_c> = sum_r conj(transfer[r, c]) |out_r>``, and it acts on
+amplitude vectors through its complex conjugate:
+``a_out = conj(transfer) @ a_in``, i.e. ``|in1> -> (|out1> - i|out2>)/sqrt2``
 and ``|in2> -> (-i|out1> + |out2>)/sqrt2``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,24 +31,9 @@ import numpy as np
 #: vacuum input ports of BS1 and BS2; D1..D3 are detector arms.
 ARMS: tuple[str, ...] = ("N", "N0", "A", "D", "D0", "B", "C", "E", "D1", "D2", "D3")
 
+#: The nested interferometer's detector arms (``build_nested_mzi().detectors``),
+#: the fixed output schema of the command line and the vibrating-mirror traces.
 DETECTORS: tuple[str, ...] = ("D1", "D2", "D3")
-
-#: Stage index (number of beamsplitters applied) at which an arm first can
-#: carry amplitude, and the last stage index before it is consumed.
-ARM_FIRST_STAGE: dict[str, int] = {
-    "N": 0, "N0": 0, "D0": 0,
-    "A": 1, "D": 1,
-    "B": 2, "C": 2,
-    "E": 3, "D3": 3,
-    "D1": 4, "D2": 4,
-}
-ARM_LAST_STAGE: dict[str, int] = {
-    "N": 0, "N0": 0, "D0": 1,
-    "A": 3, "D": 1,
-    "B": 2, "C": 2,
-    "E": 3, "D3": 4,
-    "D1": 4, "D2": 4,
-}
 
 ATOL = 1e-12
 
@@ -59,12 +46,6 @@ def _check_arm(arm: str) -> str:
     if arm not in ARMS:
         raise ValueError(f"unknown arm label {arm!r}; expected one of {ARMS}")
     return arm
-
-
-def _check_detector(detector: str) -> str:
-    if detector not in DETECTORS:
-        raise ValueError(f"detector must be one of {DETECTORS}, got {detector!r}")
-    return detector
 
 
 @dataclass(frozen=True)
@@ -98,7 +79,7 @@ class BeamSplitter:
     """A 2-input/2-output unitary stage with explicit port assignment.
 
     ``transfer`` is the matrix relating output kets to input kets; the
-    amplitude-vector action is by its conjugate transpose (module docstring).
+    amplitude-vector action is by its complex conjugate (module docstring).
     """
 
     ident: int
@@ -121,32 +102,58 @@ class BeamSplitter:
     @property
     def amplitude_matrix(self) -> np.ndarray:
         """Matrix sending input-port amplitudes to output-port amplitudes."""
-        return self.transfer.conj().T
+        return self.transfer.conj()
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered beamsplitter stages forming a directed acyclic layout."""
+    """Ordered beamsplitter stages forming a directed acyclic layout.
+
+    The topology is derived from the port lists, once. ``live[arm]`` is the
+    range of stage counts (stages applied) at which the arm can carry
+    amplitude: from the count just after the stage that produces it (0 for
+    an input no stage produces) up to the count at which the stage that
+    consumes it fires (``len(stages)`` if none does). It covers exactly the
+    arms some stage touches, in ``ARMS`` order. ``detectors`` are the arms
+    some stage produces and no stage consumes, sorted.
+    """
 
     stages: tuple[BeamSplitter, ...]
+    live: MappingProxyType[str, range] = field(init=False, repr=False, compare=False)
+    detectors: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        produced: dict[str, int] = {}
-        consumed: dict[str, int] = {}
+        n = len(self.stages)
+        first: dict[str, int] = {}  # stage count just after the stage producing the arm
+        last: dict[str, int] = {}  # stage count at which the stage consuming the arm fires
         for k, bs in enumerate(self.stages):
             for arm in bs.outputs:
-                if arm in produced:
+                if arm in first:
                     raise ValueError(f"arm {arm} is an output of two stages")
-                produced[arm] = k
-            for arm in bs.inputs:
-                if arm in consumed:
-                    raise ValueError(f"arm {arm} is an input of two stages")
-                if arm in produced and produced[arm] >= k:
+                if arm in last:
                     raise ValueError(f"arm {arm} consumed before it is produced")
-                consumed[arm] = k
+                first[arm] = k + 1
+            for arm in bs.inputs:
+                if arm in last:
+                    raise ValueError(f"arm {arm} is an input of two stages")
+                last[arm] = k
+        live = {arm: range(first.get(arm, 0), last.get(arm, n) + 1)
+                for arm in ARMS if arm in first or arm in last}
+        object.__setattr__(self, "live", MappingProxyType(live))
+        object.__setattr__(self, "detectors", tuple(sorted(first.keys() - last.keys())))
 
     def __len__(self) -> int:
         return len(self.stages)
+
+    def live_stages(self, arm: str) -> range:
+        """``live[arm]``; ValueError for an arm no stage touches."""
+        if _check_arm(arm) not in self.live:
+            raise ValueError(f"arm {arm} is not in the circuit; its arms are {tuple(self.live)}")
+        return self.live[arm]
+
+    def require_detector(self, detector: str) -> None:
+        if detector not in self.detectors:
+            raise ValueError(f"detector must be one of {self.detectors}, got {detector!r}")
 
 
 _BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
@@ -193,7 +200,7 @@ def apply_beamsplitter_inverse(state: PhotonState, bs: BeamSplitter) -> PhotonSt
                 f"BS{bs.ident} inverse: nonzero amplitude already present on input port {arm}"
             )
     a_out = np.array([state.amplitude(p) for p in bs.outputs])
-    a_in = bs.transfer @ a_out
+    a_in = bs.transfer.T @ a_out
     amps = {a: c for a, c in state.amplitudes.items() if a not in bs.inputs and a not in bs.outputs}
     amps[bs.inputs[0]] = complex(a_in[0])
     amps[bs.inputs[1]] = complex(a_in[1])

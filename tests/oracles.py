@@ -1,10 +1,12 @@
 """Independent brute-force cross-checks for the test suite.
 
-Everything here is built directly from the fixed beamsplitter ket maps,
-dense 11-dimensional matrix products, grid quadrature with FFT-based
-pointer translations, and the erf form of the readout distribution.
-Nothing imports the library's branch algebra, so agreement between the
-two routes is a real check.
+Everything here is built directly from beamsplitter port lists and the
+fixed ket convention, dense 11-dimensional matrix products, grid
+quadrature with FFT-based pointer translations, and the erf form of the
+readout distribution. Nothing imports the library's branch algebra, and
+a library ``Circuit`` is read only for its stages' ports and transfer
+matrices, never for its derived liveness or detectors, so agreement
+between the two routes is a real check.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 ARMS = ("N", "N0", "A", "D", "D0", "B", "C", "E", "D1", "D2", "D3")
 IDX = {arm: i for i, arm in enumerate(ARMS)}
 
-_S = 1.0 / np.sqrt(2.0)
+_BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
 
-# (inputs) -> (outputs) per stage, fixed convention:
+# (inputs) -> (outputs) per stage of the nested interferometer, all balanced:
 # |in1> -> (|out1> - i|out2>)/sqrt2, |in2> -> (-i|out1> + |out2>)/sqrt2
 STAGE_PORTS = [
     (("N", "N0"), ("D", "A")),
@@ -26,29 +28,55 @@ STAGE_PORTS = [
 ]
 
 
-def _stage_unitary(inputs, outputs):
+def _stages(circuit=None):
+    """(inputs, outputs, transfer) per stage; the nested interferometer by default."""
+    if circuit is None:
+        return [(i, o, _BALANCED) for i, o in STAGE_PORTS]
+    return [(bs.inputs, bs.outputs, np.asarray(bs.transfer)) for bs in circuit.stages]
+
+
+def _stage_unitary(inputs, outputs, transfer):
+    """Dense stage matrix under the ket convention (|out_r>) = transfer (|in_c>).
+
+    Inverting it, |in_c> -> sum_r conj(transfer[r, c]) |out_r>.
+    """
     u = np.eye(len(ARMS), dtype=complex)
-    i1, i2 = IDX[inputs[0]], IDX[inputs[1]]
-    o1, o2 = IDX[outputs[0]], IDX[outputs[1]]
-    for a in (i1, i2, o1, o2):
-        u[a, a] = 0.0
-    u[o1, i1] = _S
-    u[o2, i1] = -1j * _S
-    u[o1, i2] = -1j * _S
-    u[o2, i2] = _S
-    # backfill the unused output->input block so the matrix stays unitary;
-    # pipeline states never occupy output ports before a stage.
-    u[i1, o1] = _S
-    u[i2, o1] = -1j * _S
-    u[i1, o2] = -1j * _S
-    u[i2, o2] = _S
+    for a in (*inputs, *outputs):
+        u[IDX[a], IDX[a]] = 0.0
+    w = np.conj(transfer)
+    for c, i in enumerate(inputs):
+        for r, o in enumerate(outputs):
+            u[IDX[o], IDX[i]] = w[r, c]
+            # backfill the unused output->input block with w^T so the matrix
+            # stays unitary; pipeline states never occupy output ports before a stage.
+            u[IDX[i], IDX[o]] = w[r, c]
     return u
 
 
-STAGE_MATRICES = [_stage_unitary(i, o) for i, o in STAGE_PORTS]
+def stage_matrices(circuit=None) -> list[np.ndarray]:
+    return [_stage_unitary(*stage) for stage in _stages(circuit)]
 
 
-def evolve_vector(k: int, amplitudes: dict | None = None) -> np.ndarray:
+def _matrices(circuit):
+    return STAGE_MATRICES if circuit is None else stage_matrices(circuit)
+
+
+def arm_stages(circuit=None) -> dict[str, int]:
+    """Stage count after which each arm of the layout first carries amplitude."""
+    first = {}
+    for k, (inputs, outputs, _) in enumerate(_stages(circuit)):
+        for arm in inputs:
+            first.setdefault(arm, 0)
+        for arm in outputs:
+            first[arm] = k + 1
+    return first
+
+
+STAGE_MATRICES = stage_matrices()
+ARM_STAGE = arm_stages()
+
+
+def evolve_vector(k: int, amplitudes: dict | None = None, circuit=None) -> np.ndarray:
     """Photon-only evolution by dense matrix products (first k stages)."""
     v = np.zeros(len(ARMS), dtype=complex)
     if amplitudes is None:
@@ -56,29 +84,36 @@ def evolve_vector(k: int, amplitudes: dict | None = None) -> np.ndarray:
     else:
         for arm, c in amplitudes.items():
             v[IDX[arm]] = c
-    for u in STAGE_MATRICES[:k]:
+    for u in _matrices(circuit)[:k]:
         v = u @ v
     return v
 
 
-ARM_STAGE = {"N": 0, "N0": 0, "D0": 0, "A": 1, "D": 1, "B": 2, "C": 2, "E": 3, "D3": 3}
+def occupation(arm: str, amplitudes: dict | None = None, circuit=None) -> float:
+    """|<arm| U(k)..U1 |in>|^2 at the stage count k where the arm first carries amplitude."""
+    k = arm_stages(circuit)[arm]
+    return float(abs(evolve_vector(k, amplitudes, circuit)[IDX[arm]]) ** 2)
 
 
-def projected_amplitude(arm: str, detector: str, amplitudes: dict | None = None) -> complex:
-    """<detector| U4..U(k+1) Pi_arm U(k)..U1 |in> by dense products, k the arm's stage."""
-    k = ARM_STAGE[arm]
-    mid = evolve_vector(k, amplitudes)
+def projected_amplitude(
+    arm: str, detector: str, amplitudes: dict | None = None, circuit=None
+) -> complex:
+    """<detector| U_n..U(k+1) Pi_arm U(k)..U1 |in> by dense products, k the arm's stage."""
+    k = arm_stages(circuit)[arm]
+    mid = evolve_vector(k, amplitudes, circuit)
     proj = np.zeros_like(mid)
     proj[IDX[arm]] = mid[IDX[arm]]
-    for u in STAGE_MATRICES[k:]:
+    for u in _matrices(circuit)[k:]:
         proj = u @ proj
     return proj[IDX[detector]]
 
 
-def oracle_weak_value(arm: str, detector: str, amplitudes: dict | None = None) -> complex:
+def oracle_weak_value(
+    arm: str, detector: str, amplitudes: dict | None = None, circuit=None
+) -> complex:
     """Projected transition ratio from dense matrix products."""
-    full = evolve_vector(4, amplitudes)
-    return projected_amplitude(arm, detector, amplitudes) / full[IDX[detector]]
+    full = evolve_vector(len(_stages(circuit)), amplitudes, circuit)
+    return projected_amplitude(arm, detector, amplitudes, circuit) / full[IDX[detector]]
 
 
 # ---------------------------------------------------------------- quadrature

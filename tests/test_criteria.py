@@ -9,12 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
+    ARMS,
+    BeamSplitter,
+    Circuit,
     MeterAttachment,
     MeterConfig,
     NoPostselectedEventsError,
     PathSum,
     PhotonState,
     UndefinedWeakValueError,
+    arm_occupation,
     build_nested_mzi,
     discontinuity_report,
     extrapolate_even_limit,
@@ -317,3 +321,132 @@ def test_discontinuity_grid_validation():
         discontinuity_report([0.1, 0.5], delta=1.0)
     with pytest.raises(ValueError):
         discontinuity_report([], delta=1.0)
+
+
+# ------------------------------------------------------------- other circuits
+
+_BALANCED = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+
+# a plain Mach-Zehnder interferometer, N -> (C, B) -> (D1, D2), D1 bright
+TWO_STAGE = Circuit((
+    BeamSplitter(1, ("N", "N0"), ("C", "B"), _BALANCED),
+    BeamSplitter(2, ("B", "C"), ("D1", "D2"), _BALANCED),
+))
+
+
+def test_two_stage_mzi_reads_its_own_topology():
+    assert dict(TWO_STAGE.live) == {"N": range(0, 1), "N0": range(0, 1), "B": range(1, 2),
+                                    "C": range(1, 2), "D1": range(2, 3), "D2": range(2, 3)}
+    assert TWO_STAGE.detectors == ("D1", "D2")
+    assert abs(weak_value_analytic("B", detector="D1", circuit=TWO_STAGE) - 0.5) < 1e-12
+    assert abs(weak_value_tsvf("B", detector="D1", circuit=TWO_STAGE) - 0.5) < 1e-12
+    rec = weak_mean_value("B", circuit=TWO_STAGE)
+    assert abs(rec.ratio - 0.5) < 1e-12
+    assert abs(rec.limit - 0.5) < 1e-12
+    assert abs(arm_occupation(TWO_STAGE, PhotonState.source(), (), "B", 1) - 0.5) < 1e-12
+
+
+def test_postselect_checks_the_compiled_circuit_detectors():
+    paths = PathSum.compile(TWO_STAGE, PhotonState.source(), [])
+    assert abs(paths.postselect([], "D1").probability - 1.0) < 1e-12
+    with pytest.raises(ValueError):  # no D3 in this circuit
+        paths.postselect([], "D3")
+    with pytest.raises(ValueError):  # D1 is produced by the second stage
+        PathSum.compile(TWO_STAGE, PhotonState.source(), [], upto=1).postselect([], "D1")
+
+
+def test_tsvf_unknown_arm_is_value_error():
+    with pytest.raises(ValueError):
+        weak_value_tsvf("Q")
+    with pytest.raises(ValueError):  # E is not an arm of the two-stage circuit
+        weak_value_tsvf("E", detector="D1", circuit=TWO_STAGE)
+
+
+def test_discontinuity_report_names_missing_arms():
+    with pytest.raises(ValueError, match="lacks E$") as info:
+        discontinuity_report([0.1, 0.01], delta=1.0, circuit=TWO_STAGE)
+    assert not isinstance(info.value, NoPostselectedEventsError)
+    no_b_e_d2 = Circuit((
+        BeamSplitter(1, ("N", "N0"), ("A", "C"), _BALANCED),
+        BeamSplitter(2, ("A", "C"), ("D1", "D3"), _BALANCED),
+    ))
+    with pytest.raises(ValueError, match="lacks B, E, D2$"):
+        discontinuity_report([0.1, 0.01], delta=1.0, circuit=no_b_e_d2)
+
+
+def _u2(alpha, theta, phi, chi):
+    """e^{i alpha} [[cos t e^{i phi}, sin t e^{i chi}], [-sin t e^{-i chi}, cos t e^{-i phi}]]."""
+    c, s = math.cos(theta), math.sin(theta)
+    return cmath.exp(1j * alpha) * np.array([
+        [c * cmath.exp(1j * phi), s * cmath.exp(1j * chi)],
+        [-s * cmath.exp(-1j * chi), c * cmath.exp(-1j * phi)],
+    ])
+
+
+ANGLE = st.floats(0.0, 2 * math.pi)
+
+
+@st.composite
+def random_circuits(draw):
+    """A random beamsplitter mesh with its detectors and a random preselection.
+
+    Each stage takes two open arms or fresh labels and produces two fresh
+    labels, so n stages need 2n + 2 distinct arms: ARMS (11 labels) allows
+    2 to 4 stages. Every transfer is a random U(2) (any unitary is such a
+    mesh, Reck et al., PRL 73, 58 (1994)). Returns the circuit, the arms no
+    stage consumes, and normalized amplitudes on the arms no stage produces.
+    """
+    n = draw(st.integers(2, 4))
+    fresh = list(draw(st.permutations(ARMS)))
+    open_arms: list[str] = []
+    sources: list[str] = []
+    stages = []
+    for ident in range(1, n + 1):
+        inputs = []
+        for _ in range(2):
+            candidates = [a for a in open_arms if a not in inputs]
+            if len(fresh) > 2 * (n - ident + 1):  # labels left over after every output
+                candidates.append(fresh[0])
+            arm = draw(st.sampled_from(candidates))
+            if arm in open_arms:
+                open_arms.remove(arm)
+            else:
+                fresh.remove(arm)
+                sources.append(arm)
+            inputs.append(arm)
+        outputs = (fresh.pop(0), fresh.pop(0))
+        open_arms.extend(outputs)
+        transfer = _u2(*(draw(ANGLE) for _ in range(4)))
+        stages.append(BeamSplitter(ident, tuple(inputs), outputs, transfer))
+    raw = [complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))) for _ in sources]
+    norm = math.sqrt(sum(abs(c) ** 2 for c in raw))
+    assume(norm > 0.1)
+    return Circuit(tuple(stages)), sorted(open_arms), {a: c / norm for a, c in zip(sources, raw)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=random_circuits(), g=st.floats(0.05, 2.0), delta=st.floats(0.1, 4.0))
+def test_random_circuits_against_dense_oracle(drawn, g, delta):
+    circuit, detectors, amplitudes = drawn
+    state = PhotonState(amplitudes)
+    first = oracles.arm_stages(circuit)
+    assert circuit.detectors == tuple(detectors)
+    assert {arm: live.start for arm, live in circuit.live.items()} == first
+    final = oracles.evolve_vector(len(circuit), amplitudes, circuit)
+    for detector in detectors:
+        if abs(final[oracles.IDX[detector]]) < 0.1:
+            continue
+        for arm in first:
+            expected = oracles.oracle_weak_value(arm, detector, amplitudes, circuit)
+            tol = 1e-12 * max(1.0, abs(expected))
+            assert abs(weak_value_analytic(arm, state, detector, circuit) - expected) < tol
+            assert abs(weak_value_tsvf(arm, state, detector, circuit) - expected) < tol
+    for k in range(len(circuit) + 1):
+        total = sum(arm_occupation(circuit, state, (), arm, k)
+                    for arm, live in circuit.live.items() if k in live)
+        assert abs(total - 1.0) < 1e-12
+    for arm in first:
+        rec = weak_mean_value(arm, state, g, delta, circuit)
+        expected = oracles.occupation(arm, amplitudes, circuit)
+        assert abs(rec.ratio - rec.limit) < 1e-12
+        assert abs(rec.limit - expected) < 1e-12

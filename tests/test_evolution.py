@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
-    ARMS,
     DETECTORS,
     EntangledMetersError,
     MeterAttachment,
@@ -25,7 +24,6 @@ from weaktrace import (
     wave_norm2,
     wave_pointer_mean,
 )
-from weaktrace.paths import ARM_FIRST_STAGE, ARM_LAST_STAGE
 
 import oracles
 
@@ -95,8 +93,9 @@ def test_successive_couplings_compose():
 def test_attachment_on_dead_arm_rejected():
     with pytest.raises(ValueError):
         inner_arms([b_meter(0.1, meter_id="m", insert_after=0)])  # B not live at stage 0
-    with pytest.raises(ValueError):
-        MeterAttachment("m", "B", 0.1, CFG, insert_after=4).validate()
+    with pytest.raises(ValueError):  # B is consumed by BS3
+        PathSum.compile(build_nested_mzi(), PhotonState.source(),
+                        [MeterAttachment("m", "B", 0.1, CFG, insert_after=4)])
 
 
 def test_pipeline_layout_checks():
@@ -251,7 +250,7 @@ def test_conditional_means_match_grid_oracle():
     for arm, g, delta in [("B", 0.7, 1.0), ("C", 0.4, 0.5), ("A", 1.1, 2.0)]:
         att = MeterAttachment("m", arm, g, MeterConfig(delta))
         paths = PathSum.compile(circuit, PhotonState.source(), [att])
-        sim = oracles.JointGridSim(delta).run([(arm, g, att.insertion_stage)])
+        sim = oracles.JointGridSim(delta).run([(arm, g, oracles.ARM_STAGE[arm])])
         for det in ("D1", "D2", "D3"):
             sel = paths.postselect([g], det)
             assert abs(sel.probability - sim.prob(det)) < 1e-9
@@ -330,7 +329,7 @@ def test_non_finite_couplings_rejected():
         paths.statistics([[0.1, 0.2]], DETECTORS)  # one column per attachment
 
 
-LIVE = [(arm, k) for arm in ARMS for k in range(ARM_FIRST_STAGE[arm], ARM_LAST_STAGE[arm] + 1)]
+LIVE = [(arm, k) for arm, stages in build_nested_mzi().live.items() for k in stages]
 COUPLING = st.floats(-3.0, 3.0)
 
 

@@ -147,3 +147,6 @@ def test_invalid_constructions_rejected():
     b = build_nested_mzi().stages
     with pytest.raises(ValueError):
         Circuit((b[0], b[0]))  # D and A produced twice
+    cycle = BeamSplitter(9, ("D", "A"), ("N", "E"), np.eye(2))
+    with pytest.raises(ValueError):
+        Circuit((b[0], cycle))  # N consumed by BS1, then produced again
