@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 from .paths import (
     ARMS,
     DETECTORS,
+    NESTED_MZI,
     BeamSplitter,
     Circuit,
     PhotonState,
     PipelineError,
-    apply_beamsplitter,
-    apply_beamsplitter_inverse,
     build_nested_mzi,
-    evolve_to_stage,
 )
 from .meter import (
     MeterConfig,

@@ -15,8 +15,11 @@ Both are read off one compiled ``PathSum`` per layout. The weak value is
 the summed amplitude of the detector-bound paths that cross the probed arm
 over that of all detector-bound paths; pointer means, postselection and
 arm occupations come from the sum's merged terms and Gram statistics.
-``weak_value_tsvf`` evolves photon states forward and backward instead,
-as an independent cross-check.
+``weak_value_tsvf`` pairs two path sums at the cut where the probed arm
+becomes live: the forward ket of the circuit up to the cut and the
+backward ket of the detector through the circuit's adjoint back to it.
+It shares the path enumeration with the other columns; the independent
+check is the dense matrix oracle of the tests.
 """
 
 from __future__ import annotations
@@ -28,13 +31,7 @@ import numpy as np
 
 from .evolution import MeterAttachment, PathSum, arm_occupation
 from .meter import NORM2_FLOOR, MeterConfig, NoPostselectedEventsError, _readout_moments
-from .paths import (
-    Circuit,
-    PhotonState,
-    apply_beamsplitter_inverse,
-    build_nested_mzi,
-    evolve_to_stage,
-)
+from .paths import NESTED_MZI, Circuit, PhotonState
 
 _DENOM_FLOOR = 1e-15
 
@@ -47,7 +44,7 @@ class UndefinedWeakValueError(ValueError):
 
 
 def _default_circuit(circuit: Circuit | None) -> Circuit:
-    return build_nested_mzi() if circuit is None else circuit
+    return NESTED_MZI if circuit is None else circuit
 
 
 def _default_input(state: PhotonState | None) -> PhotonState:
@@ -93,20 +90,20 @@ def weak_value_analytic(
 def tsvf_backward_state(
     detector: str, stage: int, circuit: Circuit | None = None
 ) -> PhotonState:
-    """Backward-evolved ket at ``stage``: inverse stages applied to |detector>.
+    """Backward-evolved ket at ``stage``: |detector> through the adjoint circuit.
 
-    The bra of the two-state description is this state's conjugate; pairing
-    it with the forward ket at the same stage reproduces transition
-    amplitudes without ever evolving past the stage.
+    The first ``len(circuit) - stage`` stages of ``circuit.adjoint`` undo
+    the circuit's stages past ``stage``, last first. The bra of the
+    two-state description is this state's conjugate; pairing it with the
+    forward ket at the same stage reproduces transition amplitudes without
+    ever evolving past the stage.
     """
     circuit = _default_circuit(circuit)
     circuit.require_detector(detector)
     if not 0 <= stage <= len(circuit):
         raise ValueError(f"stage index {stage} out of range 0..{len(circuit)}")
-    state = PhotonState.basis(detector)
-    for bs in reversed(circuit.stages[stage:]):
-        state = apply_beamsplitter_inverse(state, bs)
-    return state
+    basis = PhotonState.basis(detector)
+    return PathSum.compile(circuit.adjoint, basis, (), len(circuit) - stage).ket()
 
 
 def weak_value_tsvf(
@@ -119,7 +116,7 @@ def weak_value_tsvf(
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     k = circuit.live_stages(arm).start
-    forward = evolve_to_stage(circuit, in_state, k)
+    forward = PathSum.compile(circuit, in_state, (), k).ket()
     backward = tsvf_backward_state(detector, k, circuit)
     den = sum(
         backward.amplitude(a).conjugate() * c for a, c in forward.amplitudes.items()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .evolution import MeterAttachment, PathSum
 from .meter import NORM2_FLOOR, MeterConfig
-from .paths import DETECTORS, Circuit, PhotonState, build_nested_mzi
+from .paths import DETECTORS, NESTED_MZI, Circuit, PhotonState
 
 #: Pooled outer-port pseudo-detector name used in series keys.
 OUTER = "outer"
@@ -150,8 +150,12 @@ def simulate_traces(
     all feeding one shared pointer; one batched evaluation of the compiled
     path sum then yields, per detector and sample, the arrival probability
     and conditional pointer mean, plus the pooled outer-port pair of series.
+    The circuit must have the detectors of ``DETECTORS``; ValueError otherwise.
     """
-    circuit = build_nested_mzi() if circuit is None else circuit
+    circuit = NESTED_MZI if circuit is None else circuit
+    if not set(DETECTORS) <= set(circuit.detectors):
+        raise ValueError(f"the traces need detectors {DETECTORS}; "
+                         f"the circuit has {circuit.detectors}")
     mirrors = schedule.enabled()
     if mirrors and sample_rate <= 2.0 * max(m.frequency for m in mirrors):
         raise ValueError("sample rate violates Nyquist for the fastest enabled mirror")

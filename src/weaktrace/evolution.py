@@ -166,6 +166,17 @@ class PathSum:
             circuit=circuit,
         )
 
+    def ket(self) -> PhotonState:
+        """The photon state the paths reach, meters left out.
+
+        Per final arm, the amplitudes of its paths summed in path order;
+        arms in order of their first path.
+        """
+        amps: dict[str, complex] = {}
+        for arm, c in zip(self.arms, self.amplitudes):
+            amps[arm] = amps[arm] + c if arm in amps else c
+        return PhotonState(amps)
+
     def merged(self, couplings, arms=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """Per final arm: merged amplitudes (K,) and meter shifts (K, B, M).
 

@@ -18,11 +18,20 @@ so ``|in_c> = sum_r conj(transfer[r, c]) |out_r>``, and it acts on
 amplitude vectors through its complex conjugate:
 ``a_out = conj(transfer) @ a_in``, i.e. ``|in1> -> (|out1> - i|out2>)/sqrt2``
 and ``|in2> -> (-i|out1> + |out2>)/sqrt2``.
+
+A ``Circuit``'s ``adjoint`` is its inverse: the stages in reverse order,
+each with its input and output ports swapped and the transfer replaced by
+its conjugate transpose (the inverse of a beamsplitter mesh is the
+reversed mesh of adjoints, Reck et al., PRL 73, 58 (1994)). It is built on
+first use and kept. ``NESTED_MZI`` is the nested interferometer, built once
+at import and shared by every default; each stage holds a read-only copy
+of its transfer, so the shared circuit cannot be changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -80,6 +89,8 @@ class BeamSplitter:
 
     ``transfer`` is the matrix relating output kets to input kets; the
     amplitude-vector action is by its complex conjugate (module docstring).
+    The stage keeps a read-only copy of it, so a shared circuit cannot be
+    changed through its stages and the caller's array is left alone.
     """
 
     ident: int
@@ -92,7 +103,8 @@ class BeamSplitter:
             _check_arm(arm)
         if set(self.inputs) & set(self.outputs):
             raise ValueError(f"BS{self.ident}: input and output ports must be disjoint")
-        t = np.asarray(self.transfer, dtype=complex)
+        t = np.array(self.transfer, dtype=complex)
+        t.flags.writeable = False
         if t.shape != (2, 2):
             raise ValueError(f"BS{self.ident}: transfer must be 2x2")
         if not np.abs(t.conj().T @ t - np.eye(2)).max() <= ATOL:
@@ -145,6 +157,15 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.stages)
 
+    @cached_property
+    def adjoint(self) -> "Circuit":
+        """The inverse circuit, built once: the stages in reverse order, each
+        with its ports swapped and its transfer's conjugate transpose."""
+        return Circuit(tuple(
+            BeamSplitter(bs.ident, bs.outputs, bs.inputs, bs.transfer.conj().T)
+            for bs in reversed(self.stages)
+        ))
+
     def live_stages(self, arm: str) -> range:
         """``live[arm]``; ValueError for an arm no stage touches."""
         if _check_arm(arm) not in self.live:
@@ -173,44 +194,5 @@ def build_nested_mzi() -> Circuit:
     ))
 
 
-def apply_beamsplitter(state: PhotonState, bs: BeamSplitter) -> PhotonState:
-    """Route the amplitudes on ``bs.inputs`` onto ``bs.outputs``.
-
-    Raises PipelineError if the state already has amplitude on an output
-    port (the stage would not be a well-formed step of the forward pipeline).
-    """
-    for arm in bs.outputs:
-        if abs(state.amplitudes.get(arm, 0.0)) > ATOL:
-            raise PipelineError(
-                f"BS{bs.ident}: nonzero amplitude already present on output port {arm}"
-            )
-    a_in = np.array([state.amplitude(p) for p in bs.inputs])
-    a_out = bs.amplitude_matrix @ a_in
-    amps = {a: c for a, c in state.amplitudes.items() if a not in bs.inputs and a not in bs.outputs}
-    amps[bs.outputs[0]] = complex(a_out[0])
-    amps[bs.outputs[1]] = complex(a_out[1])
-    return PhotonState(amps)
-
-
-def apply_beamsplitter_inverse(state: PhotonState, bs: BeamSplitter) -> PhotonState:
-    """Undo a stage: route output-port amplitudes back onto the input ports."""
-    for arm in bs.inputs:
-        if abs(state.amplitudes.get(arm, 0.0)) > ATOL:
-            raise PipelineError(
-                f"BS{bs.ident} inverse: nonzero amplitude already present on input port {arm}"
-            )
-    a_out = np.array([state.amplitude(p) for p in bs.outputs])
-    a_in = bs.transfer.T @ a_out
-    amps = {a: c for a, c in state.amplitudes.items() if a not in bs.inputs and a not in bs.outputs}
-    amps[bs.inputs[0]] = complex(a_in[0])
-    amps[bs.inputs[1]] = complex(a_in[1])
-    return PhotonState(amps)
-
-
-def evolve_to_stage(circuit: Circuit, state: PhotonState, k: int) -> PhotonState:
-    """State after the first ``k`` stages; ``k = 0`` is the identity."""
-    if not 0 <= k <= len(circuit):
-        raise ValueError(f"stage index {k} out of range 0..{len(circuit)}")
-    for bs in circuit.stages[:k]:
-        state = apply_beamsplitter(state, bs)
-    return state
+#: The nested interferometer, built once and shared; its transfers are read-only.
+NESTED_MZI = build_nested_mzi()

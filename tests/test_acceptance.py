@@ -11,16 +11,15 @@ import numpy as np
 
 from weaktrace import (
     ARMS,
+    Circuit,
     MeterAttachment,
     MeterConfig,
     MeterWave,
     PathSum,
     PhotonState,
-    apply_beamsplitter,
     arm_occupation,
     build_nested_mzi,
     discontinuity_report,
-    evolve_to_stage,
     monte_carlo_weak_value,
     simulate_traces,
     default_schedule,
@@ -52,8 +51,8 @@ def test_criterion_01_checkpoint_amplitudes():
     best = math.inf
     for _ in range(5):
         t0 = time.perf_counter()
-        after_bs2 = evolve_to_stage(circuit, src, 2)
-        after_bs3 = evolve_to_stage(circuit, src, 3)
+        after_bs2 = PathSum.compile(circuit, src, (), 2).ket()
+        after_bs3 = PathSum.compile(circuit, src, (), 3).ket()
         best = min(best, time.perf_counter() - t0)
     expected3 = {"A": -1j / SQ2, "B": -0.5j, "C": 0.5}
     expected4 = {"A": -1j / SQ2, "D3": -1j / SQ2}
@@ -69,7 +68,7 @@ def test_criterion_01_checkpoint_amplitudes():
 
 
 def test_criterion_02_dark_port():
-    after_bs3 = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 3)
+    after_bs3 = PathSum.compile(build_nested_mzi(), PhotonState.source(), (), 3).ket()
     p_e = abs(after_bs3.amplitude("E")) ** 2
     occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], "E", 3)
     report("criterion 2 dark port", p_e < 1e-12 and occ < 1e-12, f"P(E)={p_e:.2e}")
@@ -204,7 +203,8 @@ def test_criterion_10_property_suites():
         bs = circuit.stages[rng.integers(4)]
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         raw /= np.linalg.norm(raw)
-        out = apply_beamsplitter(PhotonState({bs.inputs[0]: raw[0], bs.inputs[1]: raw[1]}), bs)
+        state = PhotonState({bs.inputs[0]: raw[0], bs.inputs[1]: raw[1]})
+        out = PathSum.compile(Circuit((bs,)), state).ket()
         unitary_ok &= abs(out.norm2() - 1.0) < 1e-12
         arm = ("A", "D", "B", "C", "E")[rng.integers(5)]
         g = float(rng.uniform(-2, 2))

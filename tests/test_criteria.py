@@ -1,7 +1,9 @@
 """Weak-value and weak-mean-value criteria against oracles and closed forms."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from weaktrace import (
     Circuit,
     MeterAttachment,
     MeterConfig,
+    NESTED_MZI,
     NoPostselectedEventsError,
     PathSum,
     PhotonState,
@@ -88,11 +91,9 @@ def test_weak_value_unknown_labels():
 def test_tsvf_backward_state_overlap():
     # <Phi|Psi> at any stage equals the full transition amplitude <D2|U...|N>
     circuit = build_nested_mzi()
-    from weaktrace import evolve_to_stage
-
     for stage in (0, 1, 2, 3, 4):
         phi = tsvf_backward_state("D2", stage, circuit)
-        psi = evolve_to_stage(circuit, PhotonState.source(), stage)
+        psi = PathSum.compile(circuit, PhotonState.source(), (), stage).ket()
         overlap = sum(
             phi.amplitude(a).conjugate() * c for a, c in psi.amplitudes.items()
         )
@@ -450,3 +451,52 @@ def test_random_circuits_against_dense_oracle(drawn, g, delta):
         expected = oracles.occupation(arm, amplitudes, circuit)
         assert abs(rec.ratio - rec.limit) < 1e-12
         assert abs(rec.limit - expected) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=random_circuits())
+def test_random_circuits_adjoint(drawn):
+    circuit, detectors, amplitudes = drawn
+    twice = circuit.adjoint.adjoint
+    assert len(twice) == len(circuit)
+    for bs, back in zip(circuit.stages, twice.stages):
+        assert (back.ident, back.inputs, back.outputs) == (bs.ident, bs.inputs, bs.outputs)
+        assert np.array_equal(back.transfer, bs.transfer)
+    # the adjoint undoes the circuit
+    final = PathSum.compile(circuit, PhotonState(amplitudes)).ket()
+    restored = PathSum.compile(circuit.adjoint, final).ket()
+    for arm in ARMS:
+        assert abs(restored.amplitude(arm) - amplitudes.get(arm, 0.0)) < 1e-12
+    # <Phi_k|Psi_k> is the transition amplitude at every cut k
+    for detector in detectors:
+        for k in range(len(circuit) + 1):
+            phi = tsvf_backward_state(detector, k, circuit)
+            psi = PathSum.compile(circuit, PhotonState(amplitudes), (), k).ket()
+            overlap = sum(phi.amplitude(a).conjugate() * c for a, c in psi.amplitudes.items())
+            assert abs(overlap - final.amplitude(detector)) < 1e-12
+
+
+def test_adjoint_is_built_once():
+    circuit = build_nested_mzi()
+    assert circuit.adjoint is circuit.adjoint
+    assert [bs.ident for bs in circuit.adjoint.stages] == [4, 3, 2, 1]
+
+
+def test_shared_circuit_is_read_only():
+    with pytest.raises(ValueError):
+        NESTED_MZI.stages[0].transfer[0, 0] = 0.0
+    own = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / math.sqrt(2.0)
+    bs = BeamSplitter(1, ("N", "N0"), ("D", "A"), own)
+    own[0, 0] = 0.0  # the caller's array stays writable and is not the stage's
+    assert bs.transfer[0, 0] == 1.0 / math.sqrt(2.0)
+
+
+def test_oracle_is_independent_of_the_library():
+    # every weak-value column reads the library's path enumeration, so the
+    # dense oracle is the only independent route; it must not import weaktrace
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in imported
+    assert [m for m in imported if m.split(".")[0] == "weaktrace"] == []

@@ -6,6 +6,8 @@ import pytest
 import oracles
 
 from weaktrace import (
+    BeamSplitter,
+    Circuit,
     Mirror,
     MirrorSchedule,
     default_schedule,
@@ -193,6 +195,16 @@ def test_simulate_traces_validation():
         simulate_traces(schedule, 0.03, RATE, DELTA)  # fewer than 16 samples
     with pytest.raises(ValueError):
         simulate_traces(schedule, 1.0 + 1e-4, RATE, DELTA)  # non-integer sample count
+    # a plain two-stage MZI has the mirror arms B and C but no D3, whose
+    # series would otherwise read zero as if no photon ever arrived there
+    balanced = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    two_stage = Circuit((
+        BeamSplitter(1, ("N", "N0"), ("C", "B"), balanced),
+        BeamSplitter(2, ("B", "C"), ("D1", "D2"), balanced),
+    ))
+    with pytest.raises(ValueError, match="D3"):
+        simulate_traces(default_schedule(1e-2, enabled=("M2", "M3")), DURATION, RATE, DELTA,
+                        circuit=two_stage)
     with pytest.raises(ValueError):
         MirrorSchedule((
             Mirror("M1", "A", 5.0, 1e-2), Mirror("M2", "B", 5.0, 1e-2),
@@ -203,3 +215,4 @@ def test_simulate_traces_validation():
                                  (float("nan"), 1e-2), (float("inf"), 1e-2)):
         with pytest.raises(ValueError):
             Mirror("M1", "A", frequency, amplitude)
+

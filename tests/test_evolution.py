@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weaktrace import (
     DETECTORS,
+    Circuit,
     EntangledMetersError,
     MeterAttachment,
     MeterConfig,
@@ -17,10 +18,8 @@ from weaktrace import (
     PhotonState,
     PipelineError,
     PostselectResult,
-    apply_beamsplitter,
     arm_occupation,
     build_nested_mzi,
-    evolve_to_stage,
     wave_norm2,
     wave_pointer_mean,
 )
@@ -59,7 +58,7 @@ def inner_arms(attachments):
 
 
 def test_zero_coupling_is_identity():
-    inner = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 2)
+    inner = PathSum.compile(build_nested_mzi(), PhotonState.source(), (), 2).ket()
     terms = inner_arms([b_meter(0.0, meter_id="m", insert_after=2)])
     assert set(terms) == set(inner.amplitudes)
     for arm, (coeffs, shifts) in terms.items():
@@ -112,7 +111,7 @@ def test_pipeline_layout_checks():
 def test_pipeline_without_attachments_matches_pure_evolution():
     circuit = build_nested_mzi()
     paths = PathSum.compile(circuit, PhotonState.source(), [])
-    final = evolve_to_stage(circuit, PhotonState.source(), 4)
+    final = PathSum.compile(circuit, PhotonState.source(), (), 4).ket()
     for arm, (coeffs, _) in paths.merged([[]]).items():
         assert len(coeffs) == 1
         assert abs(coeffs[0] - final.amplitude(arm)) < 1e-12
@@ -135,11 +134,10 @@ def test_two_term_decomposition():
     circuit = build_nested_mzi()
     g = 0.6
     terms = PathSum.compile(circuit, PhotonState.source(), [b_meter(g)]).merged([[g]])
-    undisturbed = evolve_to_stage(circuit, PhotonState.source(), 4)
-    inner = evolve_to_stage(circuit, PhotonState.source(), 2)
+    undisturbed = PathSum.compile(circuit, PhotonState.source(), (), 4).ket()
+    inner = PathSum.compile(circuit, PhotonState.source(), (), 2).ket()
     projected = PhotonState({"B": inner.amplitude("B")})
-    for bs in circuit.stages[2:]:
-        projected = apply_beamsplitter(projected, bs)
+    projected = PathSum.compile(Circuit(circuit.stages[2:]), projected).ket()
     for arm, (coeffs, shifts) in terms.items():
         shifted = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if abs(s - g) < 1e-12)
         rest = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if abs(s) < 1e-12)

@@ -7,12 +7,10 @@ from weaktrace import (
     ARMS,
     BeamSplitter,
     Circuit,
+    PathSum,
     PhotonState,
     PipelineError,
-    apply_beamsplitter,
-    apply_beamsplitter_inverse,
     build_nested_mzi,
-    evolve_to_stage,
 )
 
 import oracles
@@ -22,6 +20,16 @@ SQ2 = np.sqrt(2.0)
 AFTER_BS2 = {"A": -1j / SQ2, "B": -0.5j, "C": 0.5}
 AFTER_BS3 = {"A": -1j / SQ2, "D3": -1j / SQ2}
 FINAL = {"D1": -0.5j, "D2": -0.5, "D3": -1j / SQ2}
+
+
+def ket_at(circuit, state, k):
+    """The photon state after the first ``k`` stages."""
+    return PathSum.compile(circuit, state, (), k).ket()
+
+
+def through(bs, state):
+    """The photon state after the single stage ``bs``."""
+    return ket_at(Circuit((bs,)), state, 1)
 
 
 def assert_state(state, expected, atol=1e-12):
@@ -46,7 +54,7 @@ def test_stage_unitarity():
 
 
 def test_checkpoint_after_bs2():
-    state = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 2)
+    state = ket_at(build_nested_mzi(), PhotonState.source(), 2)
     assert_state(state, AFTER_BS2)
     oracle = oracles.evolve_vector(2)
     for arm in ARMS:
@@ -54,13 +62,13 @@ def test_checkpoint_after_bs2():
 
 
 def test_checkpoint_after_bs3_dark_port():
-    state = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 3)
+    state = ket_at(build_nested_mzi(), PhotonState.source(), 3)
     assert_state(state, AFTER_BS3)
     assert abs(state.amplitude("E")) < 1e-12
 
 
 def test_final_state_and_detection_probabilities():
-    state = evolve_to_stage(build_nested_mzi(), PhotonState.source(), 4)
+    state = ket_at(build_nested_mzi(), PhotonState.source(), 4)
     assert_state(state, FINAL)
     probs = [abs(state.amplitude(d)) ** 2 for d in ("D1", "D2", "D3")]
     np.testing.assert_allclose(probs, [0.25, 0.25, 0.5], atol=1e-12)
@@ -71,32 +79,32 @@ def test_final_state_and_detection_probabilities():
 
 def test_vacuum_port_input_stays_normalized():
     circuit = build_nested_mzi()
-    out = apply_beamsplitter(PhotonState.basis("N0"), circuit.stages[0])
+    out = through(circuit.stages[0], PhotonState.basis("N0"))
     assert abs(out.norm2() - 1.0) < 1e-12
 
 
 def test_evolve_to_stage_identity_and_range():
     circuit = build_nested_mzi()
     src = PhotonState.source()
-    assert evolve_to_stage(circuit, src, 0).amplitudes == src.amplitudes
+    assert ket_at(circuit, src, 0).amplitudes == src.amplitudes
     with pytest.raises(ValueError):
-        evolve_to_stage(circuit, src, 5)
+        ket_at(circuit, src, 5)
     with pytest.raises(ValueError):
-        evolve_to_stage(circuit, src, -1)
+        ket_at(circuit, src, -1)
 
 
 def test_occupied_output_port_rejected():
     circuit = build_nested_mzi()
     bad = PhotonState({"N": 1 / SQ2, "A": 1 / SQ2})
     with pytest.raises(PipelineError):
-        apply_beamsplitter(bad, circuit.stages[0])
+        through(circuit.stages[0], bad)
 
 
 def test_projector_expectation_examples():
     circuit = build_nested_mzi()
-    mid = evolve_to_stage(circuit, PhotonState.source(), 2)
+    mid = ket_at(circuit, PhotonState.source(), 2)
     assert abs(abs(mid.amplitude("B")) ** 2 - 0.25) < 1e-12
-    dark = evolve_to_stage(circuit, PhotonState.source(), 3)
+    dark = ket_at(circuit, PhotonState.source(), 3)
     assert abs(dark.amplitude("E")) ** 2 < 1e-12
     assert abs(abs(PhotonState.source().amplitude("N")) ** 2 - 1.0) < 1e-12
 
@@ -106,7 +114,7 @@ def test_completeness_at_each_stage():
     resolutions = {1: ("A", "D"), 2: ("A", "B", "C"), 3: ("A", "D3", "E"),
                    4: ("D1", "D2", "D3")}
     for stage, arms in resolutions.items():
-        state = evolve_to_stage(circuit, PhotonState.source(), stage)
+        state = ket_at(circuit, PhotonState.source(), stage)
         total = sum(abs(state.amplitude(a)) ** 2 for a in arms)
         assert abs(total - 1.0) < 1e-12
 
@@ -119,7 +127,7 @@ def test_norm_preserved_for_random_inputs():
             raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             raw /= np.linalg.norm(raw)
             state = PhotonState({bs.inputs[0]: raw[0], bs.inputs[1]: raw[1]})
-            out = apply_beamsplitter(state, bs)
+            out = through(bs, state)
             assert abs(out.norm2() - 1.0) < 1e-12
 
 
@@ -130,7 +138,7 @@ def test_beamsplitter_inverse_roundtrip():
         raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         raw /= np.linalg.norm(raw)
         state = PhotonState({bs.inputs[0]: raw[0], bs.inputs[1]: raw[1]})
-        back = apply_beamsplitter_inverse(apply_beamsplitter(state, bs), bs)
+        back = ket_at(Circuit((bs,)).adjoint, through(bs, state), 1)
         for arm in ARMS:
             assert abs(back.amplitude(arm) - state.amplitude(arm)) < 1e-12
 
