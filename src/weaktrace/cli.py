@@ -9,10 +9,15 @@ discontinuity   dark-port occupation vs pointer ratio table, g = 0 row last
 danan           vibrating-mirror traces, spectra and readout-mode peaks
 
 Output is CSV on stdout or to ``--out``, with ``#``-prefixed header
-metadata (scenario, parameters, version) so files are self-describing;
-``--json`` switches to a JSON payload with the same content. Reruns with
-identical configuration and seed produce byte-identical bytes. Exit codes:
-0 success, 2 invalid configuration, 3 no postselected events.
+metadata (scenario, parameters, version) so files are self-describing.
+One writer streams the lines, so danan's trace adds only one chunk of rows
+to the memory its arrays take. ``--json`` writes one document with the
+same ``meta`` and the same rows as records keyed by the CSV header:
+weak-values and mean-values key them by arm, sweep and discontinuity list
+them. danan's document holds its peak tables, ``times`` and ``series``.
+Zeros print unsigned. Reruns with identical configuration and seed produce
+byte-identical bytes. Exit codes: 0 success, 2 invalid configuration, 3 no
+postselected events.
 
 CSV column orders
 -----------------
@@ -28,6 +33,7 @@ danan spectrum: f, then power per series in the same order (--spectrum)
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,7 +48,7 @@ from .criteria import (
     weak_value_operational,
     weak_value_tsvf,
 )
-from .danan import default_schedule, readout_mode_compare, sinusoid_amplitude
+from .danan import OUTER, default_schedule, readout_mode_compare
 from .meter import NoPostselectedEventsError
 from .paths import DETECTORS
 
@@ -54,9 +60,13 @@ EXIT_NO_EVENTS = 3
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{float(x):.17g}"
+    # + 0.0 maps -0.0 to 0.0, whose sign only reflects the summation order
+    return "" if x is None else f"{float(x) + 0.0:.17g}"
+
+
+def _cell(x):
+    """A JSON value: None, strings and bools as they are, numbers as unsigned-zero floats."""
+    return x if x is None or isinstance(x, (str, bool)) else float(x) + 0.0
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -66,74 +76,67 @@ def _parse_floats(text: str) -> list[float]:
         raise ValueError(f"expected a comma-separated list of numbers, got {text!r}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _sink(out: str | None):
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w")
 
 
-def _csv(meta: dict[str, object], header: list[str], rows: list[list[object]]) -> str:
-    lines = [f"# {key}: {value}" for key, value in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+def _write_json(doc: dict, out: str | None) -> int:
+    with _sink(out) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return EXIT_OK
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(args, meta, header, rows, name, by_first=False, **scalars) -> int:
+    """Write one table: ``#`` meta, header and rows as CSV, or one JSON document.
+
+    The JSON table is the same rows keyed by the header, as a list, or with
+    ``by_first`` as a dict keyed by each row's first cell. ``scalars`` join
+    the JSON document's top level.
+    """
+    if args.json:
+        table = [dict(zip(header, map(_cell, row))) for row in rows]
+        if by_first:
+            table = {record.pop(header[0]): record for record in table}
+        scalars = {key: _cell(value) for key, value in scalars.items()}
+        return _write_json({"meta": meta, name: table, **scalars}, args.out)
+    with _sink(args.out) as fh:
+        fh.writelines(f"# {key}: {value}\n" for key, value in meta.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join([c if isinstance(c, str) else _fmt(c) for c in row]) + "\n"
+                      for row in rows)
+    return EXIT_OK
+
+
+def _columns(*columns, chunk: int = 4096):
+    """Rows of equal-length arrays, converted to Python floats a chunk at a time."""
+    for start in range(0, len(columns[0]), chunk):
+        yield from zip(*(c[start:start + chunk].tolist() for c in columns))
 
 
 def _meta(scenario: str, **params: object) -> dict[str, object]:
-    meta: dict[str, object] = {"scenario": scenario}
-    meta.update(params)
-    meta["version"] = __version__
-    return meta
+    return {"scenario": scenario, **params, "version": __version__}
 
 
 def cmd_weak_values(args: argparse.Namespace) -> int:
-    detector = args.post
     rows = []
-    payload = {}
     for arm in TABLE_ARMS:
-        wv = weak_value_analytic(arm, detector=detector)
-        ts = weak_value_tsvf(arm, detector=detector)
+        wv = weak_value_analytic(arm, detector=args.post)
+        ts = weak_value_tsvf(arm, detector=args.post)
         rows.append([arm, wv.real, wv.imag, ts.real, ts.imag])
-        payload[arm] = {
-            "weak_value_re": wv.real,
-            "weak_value_im": wv.imag,
-            "tsvf_re": ts.real,
-            "tsvf_im": ts.imag,
-        }
-    meta = _meta("weak-values", preselection="N", detector=detector)
-    if args.json:
-        _emit(_json_text({"meta": meta, "weak_values": payload}), args.out)
-    else:
-        _emit(_csv(meta, ["arm", "weak_value_re", "weak_value_im", "tsvf_re", "tsvf_im"], rows), args.out)
-    return EXIT_OK
+    meta = _meta("weak-values", preselection="N", detector=args.post)
+    header = ["arm", "weak_value_re", "weak_value_im", "tsvf_re", "tsvf_im"]
+    return _write(args, meta, header, rows, "weak_values", by_first=True)
 
 
 def cmd_mean_values(args: argparse.Namespace) -> int:
     arms = args.arm.split(",") if args.arm else list(TABLE_ARMS)
     rows = []
-    payload = {}
     for arm in arms:
         rec = weak_mean_value(arm.strip(), g=args.g, delta=args.delta)
         rows.append([rec.arm, rec.g, rec.pointer_mean, rec.ratio, rec.limit])
-        payload[rec.arm] = {
-            "g": rec.g,
-            "pointer_mean": rec.pointer_mean,
-            "ratio": rec.ratio,
-            "limit": rec.limit,
-        }
     meta = _meta("mean-values", preselection="N", g=_fmt(args.g), delta=_fmt(args.delta))
-    if args.json:
-        _emit(_json_text({"meta": meta, "mean_values": payload}), args.out)
-    else:
-        _emit(_csv(meta, ["arm", "g", "pointer_mean", "ratio", "limit"], rows), args.out)
-    return EXIT_OK
+    header = ["arm", "g", "pointer_mean", "ratio", "limit"]
+    return _write(args, meta, header, rows, "mean_values", by_first=True)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -141,7 +144,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     record = weak_value_operational(args.arm, args.post, grid, args.delta)
     header = ["g", "ratio"]
     rows: list[list[object]] = [[g, r] for g, r in record.estimates]
-    payload_rows = [{"g": g, "ratio": r} for g, r in record.estimates]
     if args.mc_n:
         header += ["mc_estimate", "mc_stderr"]
         for i, (g, _) in enumerate(record.estimates):
@@ -149,65 +151,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 args.arm, args.post, g, args.delta, args.mc_n, args.seed + i
             )
             rows[i] += [est.value, est.stderr]
-            payload_rows[i]["mc_estimate"] = est.value
-            payload_rows[i]["mc_stderr"] = est.stderr
-    meta = _meta(
-        "sweep",
-        arm=args.arm,
-        detector=args.post,
-        delta=_fmt(args.delta),
-        analytic_weak_value=_fmt(record.analytic.real),
-        extrapolated_limit=_fmt(record.limit),
-        mc_n=args.mc_n,
-        seed=args.seed,
-    )
-    if args.json:
-        payload = {
-            "meta": meta,
-            "estimates": payload_rows,
-            "analytic_weak_value": record.analytic.real,
-            "extrapolated_limit": record.limit,
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(meta, header, rows), args.out)
-    return EXIT_OK
+    meta = _meta("sweep", arm=args.arm, detector=args.post, delta=_fmt(args.delta),
+                 analytic_weak_value=_fmt(record.analytic.real),
+                 extrapolated_limit=_fmt(record.limit), mc_n=args.mc_n, seed=args.seed)
+    return _write(args, meta, header, rows, "estimates",
+                  analytic_weak_value=record.analytic.real, extrapolated_limit=record.limit)
 
 
 def cmd_discontinuity(args: argparse.Namespace) -> int:
     grid = _parse_floats(args.g_grid)
     report = discontinuity_report(grid, args.delta)
-    rows: list[list[object]] = [
-        [r.g, r.e_occupation, r.pointer_ratio, r.analogy_ratio] for r in report.rows
-    ]
-    z = report.zero_row
-    rows.append([z.g, z.e_occupation, z.pointer_ratio, z.analogy_ratio])
-    meta = _meta(
-        "discontinuity",
-        delta=_fmt(args.delta),
-        extrapolated_weak_value=_fmt(report.extrapolated_weak_value),
-        b_signal_via_e=report.b_signal_via_e,
-        discontinuous=report.discontinuous,
-    )
-    if args.json:
-        payload = {
-            "meta": meta,
-            "rows": [
-                {
-                    "g": r.g,
-                    "e_occupation": r.e_occupation,
-                    "pointer_ratio": r.pointer_ratio,
-                    "analogy_ratio": r.analogy_ratio,
-                }
-                for r in (*report.rows, report.zero_row)
-            ],
-            "extrapolated_weak_value": report.extrapolated_weak_value,
-            "discontinuous": report.discontinuous,
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        _emit(_csv(meta, ["g", "e_occupation", "pointer_ratio", "analogy_ratio"], rows), args.out)
-    return EXIT_OK
+    rows = [[r.g, r.e_occupation, r.pointer_ratio, r.analogy_ratio]
+            for r in (*report.rows, report.zero_row)]
+    meta = _meta("discontinuity", delta=_fmt(args.delta),
+                 extrapolated_weak_value=_fmt(report.extrapolated_weak_value),
+                 b_signal_via_e=report.b_signal_via_e, discontinuous=report.discontinuous)
+    header = ["g", "e_occupation", "pointer_ratio", "analogy_ratio"]
+    return _write(args, meta, header, rows, "rows",
+                  extrapolated_weak_value=report.extrapolated_weak_value,
+                  discontinuous=report.discontinuous)
 
 
 def cmd_danan(args: argparse.Namespace) -> int:
@@ -225,55 +187,31 @@ def cmd_danan(args: argparse.Namespace) -> int:
     read = args.read if args.read else ("D2" if args.mode == "weakvalue" else "D3")
     if read not in ("D1", "D2", "D3", "outer"):
         raise ValueError(f"--read must be D1, D2, D3 or outer, got {read!r}")
-    peaks = {
-        m.name: amp
-        for m in schedule.enabled()
-        if (amp := sinusoid_amplitude(trace.series[f"{read}_mean"], args.rate, m.frequency))
-        > comparison.floor
-    }
+    peaks = {**comparison.per_port_mean_peaks, **comparison.mean_mode_peaks}[f"{read}_mean"]
 
-    meta = _meta(
-        "danan",
-        mode=args.mode,
-        mirrors=",".join(enabled),
-        read=read,
-        g0=_fmt(args.g),
-        delta=_fmt(args.delta),
-        duration=_fmt(args.duration),
-        sample_rate=_fmt(args.rate),
-        frequencies=",".join(_fmt(f) for f in freqs),
-    )
-    for mirror, amp in sorted(peaks.items()):
-        meta[f"peak_{mirror}"] = _fmt(amp)
+    meta = _meta("danan", mode=args.mode, mirrors=",".join(enabled), read=read,
+                 g0=_fmt(args.g), delta=_fmt(args.delta), duration=_fmt(args.duration),
+                 sample_rate=_fmt(args.rate), frequencies=",".join(_fmt(f) for f in freqs))
+    meta.update((f"peak_{mirror}", _fmt(amp)) for mirror, amp in sorted(peaks.items()))
 
-    order = ["D1_mean", "D1_prob", "D2_mean", "D2_prob", "D3_mean", "D3_prob",
-             "outer_mean", "outer_prob"]
+    order = [f"{det}_{q}" for det in (*DETECTORS, OUTER) for q in ("mean", "prob")]
     if args.json:
-        payload = {
+        return _write_json({
             "meta": meta,
             "peaks": {
                 "weak_value_mode_D2": comparison.weak_value_peaks,
                 "mean_mode": comparison.mean_mode_peaks,
                 "per_port_diagnostics": comparison.per_port_mean_peaks,
             },
-            "times": list(trace.times),
-            "series": {k: list(trace.series[k]) for k in order},
-        }
-        _emit(_json_text(payload), args.out)
-    elif args.spectrum:
-        freqs = trace.spectra[order[0]][0]
-        rows = [
-            [f, *(trace.spectra[k][1][j] for k in order)]
-            for j, f in enumerate(freqs)
-        ]
-        _emit(_csv(meta, ["f", *order], rows), args.out)
-    else:
-        rows = [
-            [t, *(trace.series[k][j] for k in order)]
-            for j, t in enumerate(trace.times)
-        ]
-        _emit(_csv(meta, ["t", *order], rows), args.out)
-    return EXIT_OK
+            "times": trace.times.tolist(),
+            "series": {k: (trace.series[k] + 0.0).tolist() for k in order},
+        }, args.out)
+    if args.spectrum:
+        bins = trace.spectra[order[0]][0]
+        rows = _columns(bins, *(trace.spectra[k][1] for k in order))
+        return _write(args, meta, ["f", *order], rows, None)
+    rows = _columns(trace.times, *(trace.series[k] for k in order))
+    return _write(args, meta, ["t", *order], rows, None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirrors", default="M1,M2,M3", help="comma list of enabled mirrors")
     p.add_argument("--read", default=None,
                    help="series to report peaks for (D1/D2/D3/outer; default by mode)")
-    p.add_argument("--g", type=float, default=1e-2, help="vibration amplitude g0")
+    p.add_argument("--g", type=float, default=1e-2,
+                   help="vibration amplitude g0; peaks are separated from absent lines "
+                        "up to g0 of about 1")
     p.add_argument("--freqs", default="3,5,7", help="mirror frequencies (three values)")
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--rate", type=float, default=256.0, help="samples per unit time")

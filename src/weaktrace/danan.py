@@ -203,11 +203,14 @@ class ModeComparison:
     """Side-by-side peak tables for the two readout modes.
 
     Peak tables map series name to {mirror name: amplitude}; only peaks
-    above ``floor`` (the quadratic-response scale g0_max^2) are listed, so
-    with all mirrors off every table is empty. ``per_port_mean_peaks``
-    exposes the D1/D2 per-port conditional means separately; their
-    equal-and-opposite inner-arm lines are interference diagnostics, not
-    part of the mean-mode readout.
+    above ``floor`` = min(g0_max^2, g0_max/8) are listed, so with all
+    mirrors off every table is empty. Present lines scale as g0 Re(weak
+    value) and absent ones as g0^3, and the floor lies between the two for
+    g0_max up to about 1. Above that no floor separates them: at g0 = 2,
+    D1's M2 line (0.117) is below the absent outer M2 line (0.157).
+    ``per_port_mean_peaks`` exposes the D1/D2 per-port conditional means
+    separately; their equal-and-opposite inner-arm lines are interference
+    diagnostics, not part of the mean-mode readout.
     """
 
     g0_max: float
@@ -238,7 +241,8 @@ def readout_mode_compare(
     trace = simulate_traces(schedule, duration, sample_rate, delta, circuit)
     mirrors = schedule.enabled()
     g0_max = max((abs(m.amplitude) for m in mirrors), default=0.0)
-    floor = g0_max * g0_max  # inf past double range, where ** would raise
+    # g0_max^2 (inf past double range, where ** would raise) up to g0_max = 1/8
+    floor = min(g0_max * g0_max, g0_max / 8)
     weak_value_peaks = _peaks_above(trace.series["D2_mean"], sample_rate, mirrors, floor)
     mean_mode_peaks = {
         key: _peaks_above(trace.series[key], sample_rate, mirrors, floor)

@@ -188,6 +188,84 @@ def test_danan_json_payload(capsys):
     assert len(payload["times"]) == 128
 
 
+def test_no_signed_zeros(capsys):
+    # exact zeros come out of path sums whose order fixes their sign; the
+    # output prints them unsigned in both formats
+    code, out, _ = run_cli(capsys, "weak-values", "--post", "D3")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert "0" in {cell for row in rows for cell in row}
+    assert not any(cell.startswith("-0") and float(cell) == 0.0 for row in rows for cell in row)
+    code, out, _ = run_cli(capsys, "weak-values", "--post", "D3", "--json")
+    assert code == 0
+    zeros = [v for cells in json.loads(out)["weak_values"].values()
+             for v in cells.values() if v == 0.0]
+    assert zeros
+    assert all(math.copysign(1.0, v) == 1.0 for v in zeros)
+
+
+TABLES = {  # argv -> JSON table name; the keyed tables drop their first column
+    ("weak-values", "--post", "D3"): "weak_values",
+    ("mean-values", "--arm", "A,B,E", "--g", "0.3"): "mean_values",
+    ("sweep", "--arm", "B", "--g", "0.5,0.1", "--mc-n", "2000", "--seed", "3"): "estimates",
+    ("discontinuity",): "rows",
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLES))
+def test_json_table_holds_the_csv_rows(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    table = json.loads(out)[TABLES[argv]]
+    if isinstance(table, dict):  # keyed by the first cell, in sorted key order
+        table = [{header[0]: key, **cells} for key, cells in table.items()]
+        rows = sorted(rows, key=lambda row: row[0])
+    assert len(table) == len(rows)
+    for row, record in zip(rows, table):
+        assert set(record) == set(header)
+        for name, cell in zip(header, row):
+            value = record[name]
+            if isinstance(value, str):
+                assert cell == value
+            elif cell == "":
+                assert value is None
+            else:
+                assert float(cell) == value
+
+
+def test_danan_trace_streams_every_row(capsys):
+    # 5120 samples cross the 4096-row chunk boundary of the streamed trace
+    code, out, _ = run_cli(capsys, "danan", "--rate", "64", "--duration", "80")
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert all(len(row) == len(header) for row in rows)
+    assert [float(row[0]) for row in rows] == (np.arange(5120) / 64.0).tolist()
+
+
+OUT_ARGV = (
+    ["weak-values"], ["weak-values", "--json"],
+    ["mean-values"], ["mean-values", "--json"],
+    ["sweep", "--arm", "C", "--mc-n", "1000"], ["sweep", "--arm", "C", "--json"],
+    ["discontinuity"], ["discontinuity", "--json"],
+    ["danan", "--rate", "64"], ["danan", "--rate", "64", "--spectrum"],
+    ["danan", "--rate", "64", "--json"], ["danan", "--rate", "64", "--duration", "80"],
+)
+
+
+@pytest.mark.parametrize("argv", OUT_ARGV, ids=" ".join)
+def test_out_file_matches_stdout(tmp_path, capsys, argv):
+    path = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, rest, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert rest == ""
+    assert path.read_bytes() == out.encode()
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

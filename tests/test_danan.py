@@ -139,6 +139,22 @@ def test_mode_compare_all_off_empty_tables():
     assert all(not peaks for peaks in comparison.per_port_mean_peaks.values())
 
 
+@pytest.mark.parametrize("g0", [0.5, 1.0])
+def test_line_floor_separates_lines_up_to_g0_1(g0):
+    # present lines scale as g0 Re(w), absent ones as g0^3; at g0 = 1 D1's
+    # M2 line (0.215) is below g0^2 / (4 g0) = 0.25 but above g0 / 8
+    comparison = readout_mode_compare(default_schedule(g0), DURATION, 64.0, DELTA)
+    assert comparison.floor == pytest.approx(g0 / 8, rel=1e-15)
+    assert set(comparison.weak_value_peaks) == {"M1", "M2", "M3"}
+    assert set(comparison.per_port_mean_peaks["D2_mean"]) == {"M1", "M2", "M3"}
+    assert set(comparison.per_port_mean_peaks["D1_mean"]) == {"M1", "M2", "M3"}
+    assert set(comparison.mean_mode_peaks["D3_mean"]) == {"M2", "M3"}
+    assert set(comparison.mean_mode_peaks["outer_mean"]) == {"M1"}
+    # D3's mean-mode lines are g0/2 exactly at every g0
+    for amp in comparison.mean_mode_peaks["D3_mean"].values():
+        assert amp == pytest.approx(g0 / 2, rel=1e-9)
+
+
 def test_power_spectrum_pure_and_mixed_sinusoids():
     rate, n = 64.0, 256
     t = np.arange(n) / rate
