@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="series to report peaks for (D1/D2/D3/outer; default by mode)")
     p.add_argument("--g", type=float, default=1e-2,
                    help="vibration amplitude g0; peaks are separated from absent lines "
-                        "up to g0 of about 1")
+                        "up to g0/sqrt(delta) of about 1")
     p.add_argument("--freqs", default="3,5,7", help="mirror frequencies (three values)")
     p.add_argument("--duration", type=float, default=1.0)
     p.add_argument("--rate", type=float, default=256.0, help="samples per unit time")

@@ -51,9 +51,9 @@ def _default_input(state: PhotonState | None) -> PhotonState:
     return PhotonState.source() if state is None else state
 
 
-def _probe(arm: str, g: float, delta: float) -> list[MeterAttachment]:
+def _probe(arm: str, delta: float) -> list[MeterAttachment]:
     """The one-meter layout: meter "probe" on ``arm`` at the arm's first stage."""
-    return [MeterAttachment("probe", arm, g, MeterConfig(delta))]
+    return [MeterAttachment("probe", arm, MeterConfig(delta))]
 
 
 def _path_weak_value(paths: PathSum, detector: str) -> complex:
@@ -82,8 +82,8 @@ def weak_value_analytic(
     """Weak value of the arm projector for the given pre/postselection."""
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    # only the probe's incidence is read, so its g and delta are placeholders
-    paths = PathSum.compile(circuit, in_state, _probe(arm, 0.0, 1.0))
+    # only the probe's incidence is read, so its delta is a placeholder
+    paths = PathSum.compile(circuit, in_state, _probe(arm, 1.0))
     return _path_weak_value(paths, detector)
 
 
@@ -157,7 +157,6 @@ class WeakValueRecord:
     """Analytic weak value next to its operational finite-g estimates."""
 
     arm: str
-    preselection: str
     detector: str
     analytic: complex
     estimates: tuple[tuple[float, float], ...]  # (g, pointer_mean / g)
@@ -187,7 +186,7 @@ def weak_value_operational(
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     circuit.require_detector(detector)
-    paths = PathSum.compile(circuit, in_state, _probe(arm, g_list[0], delta))
+    paths = PathSum.compile(circuit, in_state, _probe(arm, delta))
     prob, moment = paths.statistics([[g] for g in g_list], (detector,))[detector]
     for g, p in zip(g_list, prob):
         if p <= NORM2_FLOOR:
@@ -197,7 +196,7 @@ def weak_value_operational(
     estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment[:, 0])]
     limit = extrapolate_even_limit(*zip(*estimates))
     analytic = _path_weak_value(paths, detector)
-    return WeakValueRecord(arm, "N", detector, analytic, tuple(estimates), limit)
+    return WeakValueRecord(arm, detector, analytic, tuple(estimates), limit)
 
 
 @dataclass(frozen=True)
@@ -241,7 +240,7 @@ def monte_carlo_weak_value(
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    sel = PathSum.compile(circuit, in_state, _probe(arm, g, delta)).postselect([g], detector)
+    sel = PathSum.compile(circuit, in_state, _probe(arm, delta)).postselect([g], detector)
     if sel.probability <= NORM2_FLOOR:
         raise NoPostselectedEventsError(f"postselection on {detector} has zero probability")
     rng = np.random.default_rng(seed)
@@ -284,12 +283,12 @@ def weak_mean_value(
         raise ValueError("coupling strength must be nonnegative")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    stats = PathSum.compile(circuit, in_state, _probe(arm, g, delta)).statistics([[g]], None)
+    stats = PathSum.compile(circuit, in_state, _probe(arm, delta)).statistics([[g]], None)
     norm2 = sum(float(prob[0]) for prob, _ in stats.values())
     if norm2 <= NORM2_FLOOR:
         raise NoPostselectedEventsError("state has zero norm")
     mean = sum(float(moment[0, 0]) for _, moment in stats.values()) / norm2
-    limit = arm_occupation(circuit, in_state, (), arm, circuit.live_stages(arm).start)
+    limit = arm_occupation(circuit, in_state, (), (), arm, circuit.live_stages(arm).start)
     ratio = mean / g if g > 0 else None
     return MeanValueRecord(arm, g, mean, ratio, limit)
 
@@ -361,8 +360,7 @@ def discontinuity_report(
 
     record = weak_value_operational("B", "D2", g_grid, delta, in_state, circuit)
     slope = record.limit
-    probe = _probe("B", g_grid[0], delta)
-    inner = PathSum.compile(circuit, in_state, probe, upto=circuit.live["E"].start)
+    inner = PathSum.compile(circuit, in_state, _probe("B", delta), upto=circuit.live["E"].start)
     p_e, _ = inner.statistics([[g] for g in g_grid], ("E",))["E"]
     rows = tuple(
         DiscontinuityRow(g, float(p), ratio, slope) for (g, ratio), p in zip(record.estimates, p_e)
@@ -375,8 +373,7 @@ def discontinuity_report(
     # from the D2-bound paths that cross both B and E; the zero coupling on
     # E only marks which paths cross it
     g_probe = g_grid[0]
-    layout = _probe("B", g_probe, delta) + [MeterAttachment("probe", "E", 0.0, MeterConfig(delta))]
-    paths = PathSum.compile(circuit, in_state, layout)
+    paths = PathSum.compile(circuit, in_state, _probe("B", delta) + _probe("E", delta))
     coeffs, shifts = paths.merged([[g_probe, 0.0]], ("D2",))["D2"]
     coupled = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if s == g_probe)
     via_e = sum(

@@ -167,7 +167,7 @@ def simulate_traces(
         raise ValueError("duration * sample_rate must be an integer of at least 16")
     times = np.arange(n) / sample_rate
     config = MeterConfig(delta)
-    layout = [MeterAttachment("y", m.arm, m.amplitude, config) for m in mirrors]
+    layout = [MeterAttachment("y", m.arm, config) for m in mirrors]
     paths = PathSum.compile(circuit, PhotonState.source(), layout)
     couplings = np.array(
         [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
@@ -203,11 +203,14 @@ class ModeComparison:
     """Side-by-side peak tables for the two readout modes.
 
     Peak tables map series name to {mirror name: amplitude}; only peaks
-    above ``floor`` = min(g0_max^2, g0_max/8) are listed, so with all
-    mirrors off every table is empty. Present lines scale as g0 Re(weak
-    value) and absent ones as g0^3, and the floor lies between the two for
-    g0_max up to about 1. Above that no floor separates them: at g0 = 2,
-    D1's M2 line (0.117) is below the absent outer M2 line (0.157).
+    above ``floor`` = g0_max min(g0_max/sqrt(delta), 1/8) are listed, so
+    with all mirrors off every table is empty. The lines depend on g0 and
+    delta only through g0/sqrt(delta), up to an overall factor g0, and so
+    does the floor. Present lines scale as g0 Re(weak value) and absent
+    ones as g0^3/delta, and the floor lies between the two for
+    g0_max/sqrt(delta) up to about 1. Above that no floor separates them:
+    at g0 = 2, delta = 1, D1's M2 line (0.117) is below the absent outer
+    M2 line (0.157).
     ``per_port_mean_peaks`` exposes the D1/D2 per-port conditional means
     separately; their equal-and-opposite inner-arm lines are interference
     diagnostics, not part of the mean-mode readout.
@@ -241,8 +244,8 @@ def readout_mode_compare(
     trace = simulate_traces(schedule, duration, sample_rate, delta, circuit)
     mirrors = schedule.enabled()
     g0_max = max((abs(m.amplitude) for m in mirrors), default=0.0)
-    # g0_max^2 (inf past double range, where ** would raise) up to g0_max = 1/8
-    floor = min(g0_max * g0_max, g0_max / 8)
+    # scales with g0_max at fixed g0_max/sqrt(delta), as every line does
+    floor = g0_max * min(g0_max / math.sqrt(delta), 0.125)
     weak_value_peaks = _peaks_above(trace.series["D2_mean"], sample_rate, mirrors, floor)
     mean_mode_peaks = {
         key: _peaks_above(trace.series[key], sample_rate, mirrors, floor)

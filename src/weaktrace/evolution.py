@@ -37,13 +37,12 @@ meter exactly, by grouping equal shifts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .meter import MeterConfig, MeterWave, gram_sums, merge_equal_shifts, wave_norm2
-from .paths import ATOL, Circuit, PhotonState, PipelineError, _check_arm
+from .paths import Circuit, PhotonState, PipelineError, _check_arm
 
 
 class EntangledMetersError(ValueError):
@@ -52,23 +51,19 @@ class EntangledMetersError(ValueError):
 
 @dataclass(frozen=True)
 class MeterAttachment:
-    """One coupling: meter ``meter_id`` measures the projector onto ``arm``.
+    """One coupling site: meter ``meter_id`` measures the projector onto ``arm``.
 
-    ``insert_after`` is the number of stages applied before the coupling
-    acts; by default the first stage at which the circuit the attachment is
-    compiled into makes the arm live (``Circuit.live``).
+    It is pure layout. The coupling acts at the first stage count at which
+    the circuit the attachment is compiled into makes the arm live
+    (``Circuit.live``); its strength g is supplied per evaluation.
     """
 
     meter_id: str
     arm: str
-    g: float
     config: MeterConfig
-    insert_after: int | None = None
 
     def __post_init__(self) -> None:
         _check_arm(self.arm)
-        if not math.isfinite(self.g):
-            raise ValueError(f"coupling g must be finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,10 @@ class PathSum:
     ) -> "PathSum":
         """Enumerate the paths of ``input_state`` through ``upto`` stages.
 
-        The attachments fix the layout (meter, arm, insertion stage, delta);
-        their ``g`` values are not used here. Each insertion stage must lie in
-        the circuit's live range of the attachment's arm.
+        The attachments fix the layout (meter, arm, delta); each acts where
+        its arm becomes live, and an arm the circuit lacks raises ValueError.
+        Nonzero input amplitude on an output port of one of the ``upto``
+        stages raises PipelineError.
         """
         upto = len(circuit) if upto is None else upto
         if not 0 <= upto <= len(circuit):
@@ -114,10 +110,7 @@ class PathSum:
         # attachment indices by (insertion stage, arm)
         acting: dict[tuple[int, str], tuple[int, ...]] = {}
         for a, att in enumerate(attachments):
-            live = circuit.live_stages(att.arm)
-            k = live.start if att.insert_after is None else att.insert_after
-            if k not in live:
-                raise ValueError(f"arm {att.arm} is not live after stage {k}")
+            k = circuit.live_stages(att.arm).start
             if att.meter_id not in meter_ids:
                 meter_ids.append(att.meter_id)
                 configs.append(att.config)
@@ -128,6 +121,14 @@ class PathSum:
             key = (k, att.arm)
             acting[key] = acting.get(key, ()) + (a,)
 
+        # an arm is produced by at most one stage and never consumed before
+        # it, so only the input can occupy a stage's output port
+        for bs in circuit.stages[:upto]:
+            for out in bs.outputs:
+                if input_state.amplitudes.get(out, 0) != 0:
+                    raise PipelineError(
+                        f"BS{bs.ident}: nonzero amplitude already present on output port {out}"
+                    )
         # a path is (current arm, amplitude, indices of the attachments crossed)
         paths = [
             (arm, complex(c), acting.get((0, arm), ()))
@@ -135,11 +136,6 @@ class PathSum:
             if c != 0
         ]
         for k, bs in enumerate(circuit.stages[:upto], start=1):
-            for out in bs.outputs:
-                if sum(abs(c) ** 2 for arm, c, _ in paths if arm == out) > ATOL:
-                    raise PipelineError(
-                        f"BS{bs.ident}: nonzero amplitude already present on output port {out}"
-                    )
             m = bs.amplitude_matrix.tolist()
             moved = []
             for arm, c, hit in paths:
@@ -290,15 +286,17 @@ def arm_occupation(
     circuit: Circuit,
     input_state: PhotonState,
     attachments: list[MeterAttachment] | tuple[MeterAttachment, ...],
+    couplings,
     arm: str,
     stage: int,
 ) -> float:
     """Probability of finding the photon in ``arm`` after ``stage`` stages.
 
-    Meters are marginalized; exact at any coupling strength.
+    ``couplings`` holds one g per attachment. Meters are marginalized;
+    exact at any coupling strength.
     """
     if stage not in circuit.live_stages(arm):
         raise ValueError(f"arm {arm} is not live at stage {stage}")
     paths = PathSum.compile(circuit, input_state, attachments, upto=stage)
-    prob, _ = paths.statistics([[att.g for att in attachments]], (arm,))[arm]
+    prob, _ = paths.statistics([couplings], (arm,))[arm]
     return float(prob[0])

@@ -116,6 +116,37 @@ def oracle_weak_value(
     return projected_amplitude(arm, detector, amplitudes, circuit) / full[IDX[detector]]
 
 
+def mirror_lines(arm: str, detector: str, g0: float, delta: float, f: float, rate: float):
+    """Exact lines of one mirror g(t) = g0 sin(2 pi f t) on ``arm`` at ``detector``.
+
+    With alpha the detector amplitude through the arm and beta the rest, the
+    detector state is alpha|G_g> + beta|G_0>. Its probability is
+    |alpha|^2 + |beta|^2 + x exp(-g^2/4 delta) and its moment (probability
+    times pointer mean) g|alpha|^2 + x (g/2) exp(-g^2/4 delta), with
+    x = 2 Re(conj(alpha) beta). Writing g^2 = g0^2 (1 - cos 2 theta)/2 and
+    expanding e^{a cos 2 theta} = I_0(a) + 2 sum_k I_k(a) cos 2k theta
+    (Abramowitz and Stegun 9.6.34), a = g0^2/(8 delta), the probability has
+    lines 2|x| ive(k, a) at 2kf, and the moment lines
+    |g0| ||alpha|^2 + (x/2)(ive(0, a) - ive(1, a))| at f and
+    |g0 x/2| |ive(k, a) - ive(k+1, a)| at (2k+1)f.
+
+    Returns (probability lines, moment lines), each {frequency: amplitude}
+    over the frequencies strictly between 0 and rate/2.
+    """
+    from scipy.special import ive
+
+    alpha = projected_amplitude(arm, detector)
+    beta = evolve_vector(len(STAGE_PORTS))[IDX[detector]] - alpha
+    x = 2.0 * (np.conj(alpha) * beta).real
+    orders = int(rate / (2 * f)) + 2
+    i = ive(np.arange(orders + 1), g0 * g0 / (8.0 * delta))
+    prob = {2 * k * f: 2 * abs(x) * i[k] for k in range(1, orders) if 2 * k * f < rate / 2}
+    moment = {f: abs(g0 * (abs(alpha) ** 2 + x / 2 * (i[0] - i[1])))}
+    moment.update({(2 * k + 1) * f: abs(g0 * x / 2 * (i[k] - i[k + 1]))
+                   for k in range(1, orders) if (2 * k + 1) * f < rate / 2})
+    return prob, moment
+
+
 # ---------------------------------------------------------------- quadrature
 
 def gaussian(q, shift, delta):

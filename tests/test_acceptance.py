@@ -70,7 +70,7 @@ def test_criterion_01_checkpoint_amplitudes():
 def test_criterion_02_dark_port():
     after_bs3 = PathSum.compile(build_nested_mzi(), PhotonState.source(), (), 3).ket()
     p_e = abs(after_bs3.amplitude("E")) ** 2
-    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], "E", 3)
+    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], [], "E", 3)
     report("criterion 2 dark port", p_e < 1e-12 and occ < 1e-12, f"P(E)={p_e:.2e}")
 
 
@@ -131,7 +131,7 @@ def test_criterion_06_mean_value_exactness():
         paths = PathSum.compile(
             build_nested_mzi(),
             PhotonState.source(),
-            [MeterAttachment("probe", "B", g, MeterConfig(1.0))],
+            [MeterAttachment("probe", "B", MeterConfig(1.0))],
         )
         # unconditional pointer mean: every photon outcome kept
         stats = paths.statistics([[g]], None).values()
@@ -211,7 +211,7 @@ def test_criterion_10_property_suites():
         paths = PathSum.compile(
             circuit,
             PhotonState.source(),
-            [MeterAttachment("m", arm, g, MeterConfig(float(rng.uniform(0.25, 4.0))))],
+            [MeterAttachment("m", arm, MeterConfig(float(rng.uniform(0.25, 4.0))))],
         )
         norm2 = sum(float(p[0]) for p, _ in paths.statistics([[g]], None).values())
         unitary_ok &= abs(norm2 - 1.0) < 1e-12
@@ -224,7 +224,7 @@ def test_criterion_10_property_suites():
         paths = PathSum.compile(
             circuit,
             PhotonState.source(),
-            [MeterAttachment("m", arm, g, MeterConfig(float(rng.uniform(0.25, 4.0))))],
+            [MeterAttachment("m", arm, MeterConfig(float(rng.uniform(0.25, 4.0))))],
         )
         total = sum(paths.postselect([g], d).probability for d in ("D1", "D2", "D3"))
         complete_ok &= abs(total - 1.0) < 1e-12

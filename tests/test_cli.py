@@ -1,4 +1,4 @@
-"""Command-line surface: payloads, determinism, exit codes."""
+"""Command-line surface: payloads, determinism, exit codes, exact invariances."""
 
 import contextlib
 import io
@@ -355,7 +355,7 @@ def test_no_postselected_events_exit_code(capsys):
     paths = PathSum.compile(
         build_nested_mzi(),
         PhotonState.source(),
-        [MeterAttachment("probe", "B", 0.5, MeterConfig(1.0))],
+        [MeterAttachment("probe", "B", MeterConfig(1.0))],
     )
     p = paths.postselect([0.5], "D2").probability
     seed = next(s for s in range(100) if np.random.default_rng(s).binomial(1, p) == 0)
@@ -438,3 +438,90 @@ def test_fuzzed_argv_exit_codes(argv, as_json):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3), argv
+
+
+# Exact invariances of the command-line tables.
+#
+# The model depends on the coupling g and the meter width delta only through
+# g/sqrt(delta), with pointer readings in units of g. Scaling (g, delta) to
+# (2^k g, 4^k delta) is exact in binary floating point, so every table must
+# come back bit for bit once its meter-unit values are divided by 2^k and
+# delta by 4^k (a metamorphic relation: Chen, Cheung and Yiu, HKUST-CS98-01,
+# 1998). Any absolute tolerance in meter units breaks it. Flipping the sign
+# of the mirror amplitude negates every pointer mean and leaves every
+# probability and line amplitude unchanged.
+
+
+def table(argv):
+    """(meta, header, rows) of one CSV run of the command line."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return parse_csv(out.getvalue())
+
+
+def meter_power(key):
+    """The power of 2^k that a value carries under (g, delta) -> (2^k g, 4^k delta)."""
+    if key == "delta":
+        return 2
+    return int(key in ("g", "g0") or key.endswith("_mean") or key.startswith("peak_"))
+
+
+def unscaled(argv, k):
+    """The table of ``argv`` at scale k, its meter-unit values divided back."""
+    meta, header, rows = table(argv)
+
+    def cell(key, value):
+        power = meter_power(key)
+        return value if power == 0 else math.ldexp(float(value), -power * k)
+
+    meta = {key: cell(key, value) for key, value in meta.items()}
+    return meta, header, [[cell(key, value) for key, value in zip(header, row)] for row in rows]
+
+
+def at_scale(command, k):
+    """The argv of ``command`` with every coupling times 2^k and delta times 4^k."""
+    def g(*values):
+        return ",".join(repr(math.ldexp(v, k)) for v in values)
+
+    return command(g, lambda delta: repr(math.ldexp(delta, 2 * k)))
+
+
+COMMANDS = {
+    "mean-values": lambda g, d: ["mean-values", "--g", g(0.1), "--delta", d(0.7)],
+    "sweep": lambda g, d: ["sweep", "--arm", "B", "--g", g(1, 0.5, 0.1, 0.01), "--delta", d(0.7)],
+    "sweep-mc-A": lambda g, d: ["sweep", "--arm", "A", "--g", g(1, 0.1), "--delta", d(1.0),
+                                "--mc-n", "20000", "--seed", "3"],
+    "sweep-mc-C": lambda g, d: ["sweep", "--arm", "C", "--g", g(1, 0.1), "--delta", d(1.0),
+                                "--mc-n", "20000", "--seed", "3"],
+    "discontinuity": lambda g, d: ["discontinuity", "--g-grid", g(0.5, 0.1, 0.01),
+                                   "--delta", d(0.7)],
+    "danan": lambda g, d: ["danan", "--g", g(0.5), "--delta", d(1.0), "--rate", "64",
+                           "--read", "outer"],
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+@settings(max_examples=8, deadline=None)
+@given(k=st.integers(-60, 60))
+@example(k=-60)
+@example(k=-10)
+@example(k=60)
+def test_tables_exact_under_coupling_scaling(name, k):
+    command = COMMANDS[name]
+    assert unscaled(at_scale(command, k), k) == unscaled(at_scale(command, 0), 0)
+
+
+@pytest.mark.parametrize("g0", [0.01, 0.7, 3.0])
+def test_mirror_sign_flip_negates_pointer_means(g0):
+    meta, header, rows = table(["danan", f"--g={g0}", "--rate", "64", "--read", "outer"])
+    flipped_meta, flipped_header, flipped_rows = table(
+        ["danan", f"--g={-g0}", "--rate", "64", "--read", "outer"]
+    )
+    assert flipped_header == header
+    assert float(flipped_meta.pop("g0")) == -float(meta.pop("g0"))
+    assert flipped_meta == meta  # the peaks among them
+    for row, flipped in zip(rows, flipped_rows, strict=True):
+        for key, value, other in zip(header, row, flipped):
+            expected = -float(value) if key.endswith("_mean") else float(value)
+            assert float(other) == expected

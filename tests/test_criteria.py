@@ -243,7 +243,7 @@ def test_monte_carlo_single_trial():
     paths = PathSum.compile(
         build_nested_mzi(),
         PhotonState.source(),
-        [MeterAttachment("probe", "B", 0.2, MeterConfig(1.0))],
+        [MeterAttachment("probe", "B", MeterConfig(1.0))],
     )
     p = paths.postselect([0.2], "D2").probability
     seed = next(
@@ -344,7 +344,7 @@ def test_two_stage_mzi_reads_its_own_topology():
     rec = weak_mean_value("B", circuit=TWO_STAGE)
     assert abs(rec.ratio - 0.5) < 1e-12
     assert abs(rec.limit - 0.5) < 1e-12
-    assert abs(arm_occupation(TWO_STAGE, PhotonState.source(), (), "B", 1) - 0.5) < 1e-12
+    assert abs(arm_occupation(TWO_STAGE, PhotonState.source(), (), (), "B", 1) - 0.5) < 1e-12
 
 
 def test_postselect_checks_the_compiled_circuit_detectors():
@@ -443,7 +443,7 @@ def test_random_circuits_against_dense_oracle(drawn, g, delta):
             assert abs(weak_value_analytic(arm, state, detector, circuit) - expected) < tol
             assert abs(weak_value_tsvf(arm, state, detector, circuit) - expected) < tol
     for k in range(len(circuit) + 1):
-        total = sum(arm_occupation(circuit, state, (), arm, k)
+        total = sum(arm_occupation(circuit, state, (), (), arm, k)
                     for arm, live in circuit.live.items() if k in live)
         assert abs(total - 1.0) < 1e-12
     for arm in first:

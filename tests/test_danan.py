@@ -1,11 +1,17 @@
 """Vibrating-mirror traces, spectra and readout-mode comparison."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ive
 
 import oracles
 
 from weaktrace import (
+    DETECTORS,
     BeamSplitter,
     Circuit,
     Mirror,
@@ -153,6 +159,45 @@ def test_line_floor_separates_lines_up_to_g0_1(g0):
     # D3's mean-mode lines are g0/2 exactly at every g0
     for amp in comparison.mean_mode_peaks["D3_mean"].values():
         assert amp == pytest.approx(g0 / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("g0, delta, k", [
+    (0.5, 1.0, -10), (0.5, 1.0, 10), (0.005, 1e-4, -3), (1.0, 0.5, 60), (0.02, 3.0, -60),
+])
+def test_line_tables_scale_covariant(g0, delta, k):
+    # the lines depend on (g0, delta) only through g0/sqrt(delta), up to a
+    # factor g0, so (2^k g0, 4^k delta) lists the same lines 2^k times as large
+    base = readout_mode_compare(default_schedule(g0), DURATION, 64.0, delta)
+    scaled = readout_mode_compare(
+        default_schedule(math.ldexp(g0, k)), DURATION, 64.0, math.ldexp(delta, 2 * k)
+    )
+    assert scaled.floor == math.ldexp(base.floor, k)
+
+    def tables(c):
+        return [c.weak_value_peaks, *c.mean_mode_peaks.values(), *c.per_port_mean_peaks.values()]
+
+    for before, after in zip(tables(base), tables(scaled), strict=True):
+        assert after == {name: math.ldexp(amp, k) for name, amp in before.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(arm=st.sampled_from("ABC"), detector=st.sampled_from(DETECTORS), f=st.integers(1, 7),
+       ratio=st.floats(0.0, 10.0), delta=st.floats(0.25, 4.0))
+def test_single_mirror_lines_match_bessel_oracle(arm, detector, f, ratio, delta):
+    g0, rate = ratio * math.sqrt(delta), 256.0
+    # harmonic orders from k0 on reach Nyquist and would alias onto the lines
+    k0 = math.ceil((rate / (2 * f) - 1) / 2)
+    assume(ive(k0, g0 * g0 / (8 * delta)) < 1e-16)
+    schedule = MirrorSchedule((Mirror("M", arm, float(f), g0),))
+    trace = simulate_traces(schedule, DURATION, rate, delta)
+    prob = trace.series[f"{detector}_prob"]
+    moment = prob * trace.series[f"{detector}_mean"]
+    prob_lines, moment_lines = oracles.mirror_lines(arm, detector, g0, delta, f, rate)
+    for series, lines in ((prob, prob_lines), (moment, moment_lines)):
+        scale = np.abs(series).max()
+        for frequency, amplitude in lines.items():
+            line = sinusoid_amplitude(series, rate, frequency)
+            assert abs(line - amplitude) <= 1e-13 * scale
 
 
 def test_power_spectrum_pure_and_mixed_sinusoids():

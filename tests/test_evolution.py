@@ -1,6 +1,5 @@
 """Joint photon-meter pipeline checks against the grid oracle."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -30,18 +29,13 @@ CFG = MeterConfig(1.0)
 SQ2 = math.sqrt(2.0)
 
 
-def b_meter(g, delta=1.0, meter_id="probe", insert_after=None):
-    return MeterAttachment(meter_id, "B", g, MeterConfig(delta), insert_after)
+def b_meter(delta=1.0, meter_id="probe"):
+    return MeterAttachment(meter_id, "B", MeterConfig(delta))
 
 
-def couplings(attachments):
-    """The batch of one coupling vector that holds each attachment's own g."""
-    return [[att.g for att in attachments]]
-
-
-def total_norm2(paths, attachments):
-    """Squared norm of the joint state: the probabilities of every arm summed."""
-    stats = paths.statistics(couplings(attachments), None)
+def total_norm2(paths, g_row):
+    """Squared norm of the joint state at one coupling vector: every arm's probability summed."""
+    stats = paths.statistics([g_row], None)
     return sum(float(prob[0]) for prob, _ in stats.values())
 
 
@@ -51,15 +45,15 @@ def conditional_mean(paths, g_row, detector, slot=0):
     return float(moment[0, slot]) / float(prob[0])
 
 
-def inner_arms(attachments):
-    """Merged terms per arm after BS2 (arms A, B, C) with the given couplings."""
+def inner_arms(attachments, g_row):
+    """Merged terms per arm after BS2 (arms A, B, C) at one coupling vector."""
     paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), attachments, upto=2)
-    return paths.merged(couplings(attachments))
+    return paths.merged([g_row])
 
 
 def test_zero_coupling_is_identity():
     inner = PathSum.compile(build_nested_mzi(), PhotonState.source(), (), 2).ket()
-    terms = inner_arms([b_meter(0.0, meter_id="m", insert_after=2)])
+    terms = inner_arms([b_meter(meter_id="m")], [0.0])
     assert set(terms) == set(inner.amplitudes)
     for arm, (coeffs, shifts) in terms.items():
         (coefficient,) = coeffs
@@ -68,7 +62,7 @@ def test_zero_coupling_is_identity():
 
 
 def test_coupling_splits_off_shifted_branch():
-    terms = inner_arms([b_meter(0.4, meter_id="m", insert_after=2)])
+    terms = inner_arms([b_meter(meter_id="m")], [0.4])
     (b_coefficient,), b_shifts = terms["B"]
     assert b_shifts.tolist() == [[[0.4]]]
     assert abs(b_coefficient - (-0.5j)) < 1e-12
@@ -79,9 +73,8 @@ def test_coupling_splits_off_shifted_branch():
 
 def test_successive_couplings_compose():
     # two attachments on one meter and one arm add up to a single kick
-    twice = inner_arms([b_meter(0.1, meter_id="m", insert_after=2),
-                        b_meter(0.25, meter_id="m", insert_after=2)])
-    once = inner_arms([b_meter(0.35, meter_id="m", insert_after=2)])
+    twice = inner_arms([b_meter(meter_id="m"), b_meter(meter_id="m")], [0.1, 0.25])
+    once = inner_arms([b_meter(meter_id="m")], [0.35])
     assert twice["B"][1][0, 0, 0] == pytest.approx(0.35, abs=1e-15)
     assert once["B"][1][0, 0, 0] == pytest.approx(0.35, abs=1e-15)
     for arm in ("A", "C"):
@@ -90,18 +83,25 @@ def test_successive_couplings_compose():
 
 
 def test_attachment_on_dead_arm_rejected():
-    with pytest.raises(ValueError):
-        inner_arms([b_meter(0.1, meter_id="m", insert_after=0)])  # B not live at stage 0
-    with pytest.raises(ValueError):  # B is consumed by BS3
-        PathSum.compile(build_nested_mzi(), PhotonState.source(),
-                        [MeterAttachment("m", "B", 0.1, CFG, insert_after=4)])
+    # an attachment acts where its arm becomes live; an arm the circuit
+    # lacks never does
+    first_two = Circuit(build_nested_mzi().stages[:2])
+    for arm in ("E", "D1"):
+        with pytest.raises(ValueError, match=f"arm {arm} is not in the circuit"):
+            PathSum.compile(first_two, PhotonState.source(), [MeterAttachment("m", arm, CFG)])
 
 
 def test_pipeline_layout_checks():
     circuit = build_nested_mzi()
     with pytest.raises(PipelineError):  # D1 already occupied when BS4 fires
         PathSum.compile(circuit, PhotonState({"N": 1 / SQ2, "D1": 1 / SQ2}))
-    two_widths = [b_meter(0.1, 1.0, "m"), MeterAttachment("m", "A", 0.1, MeterConfig(2.0))]
+    # no tolerance: any nonzero amplitude on an output port is rejected
+    with pytest.raises(PipelineError, match="BS4: nonzero amplitude already present on output "
+                                            "port D1"):
+        PathSum.compile(circuit, PhotonState({"N": 1, "D1": 1e-7}))
+    # past the cut, BS4 has not fired
+    PathSum.compile(circuit, PhotonState({"N": 1, "D1": 1e-7}), upto=3)
+    two_widths = [b_meter(1.0, "m"), MeterAttachment("m", "A", MeterConfig(2.0))]
     with pytest.raises(ValueError):
         PathSum.compile(circuit, PhotonState.source(), two_widths)
     with pytest.raises(ValueError):
@@ -120,7 +120,7 @@ def test_pipeline_without_attachments_matches_pure_evolution():
 
 def test_pipeline_g0_matches_no_attachment():
     circuit = build_nested_mzi()
-    with_meter = PathSum.compile(circuit, PhotonState.source(), [b_meter(0.0)]).merged([[0.0]])
+    with_meter = PathSum.compile(circuit, PhotonState.source(), [b_meter()]).merged([[0.0]])
     bare = PathSum.compile(circuit, PhotonState.source(), []).merged([[]])
     for arm in bare:
         (cw,), shifts = with_meter[arm]
@@ -133,7 +133,7 @@ def test_two_term_decomposition():
     # final = undisturbed x G_0  +  (U4 U3 Pi_B U2 U1|N>) x (G_g - G_0)
     circuit = build_nested_mzi()
     g = 0.6
-    terms = PathSum.compile(circuit, PhotonState.source(), [b_meter(g)]).merged([[g]])
+    terms = PathSum.compile(circuit, PhotonState.source(), [b_meter()]).merged([[g]])
     undisturbed = PathSum.compile(circuit, PhotonState.source(), (), 4).ket()
     inner = PathSum.compile(circuit, PhotonState.source(), (), 2).ket()
     projected = PhotonState({"B": inner.amplitude("B")})
@@ -147,7 +147,7 @@ def test_two_term_decomposition():
 
 def test_postselect_undisturbed_meter():
     circuit = build_nested_mzi()
-    sel = PathSum.compile(circuit, PhotonState.source(), [b_meter(0.0)]).postselect([0.0], "D2")
+    sel = PathSum.compile(circuit, PhotonState.source(), [b_meter()]).postselect([0.0], "D2")
     assert abs(sel.probability - 0.25) < 1e-12
     (wave,) = sel.meter_waves
     assert wave.shifts.tolist() == [0.0]
@@ -157,7 +157,7 @@ def test_postselect_undisturbed_meter():
 def test_postselect_b_meter_branch_coefficients():
     circuit = build_nested_mzi()
     g = 0.8
-    paths = PathSum.compile(circuit, PhotonState.source(), [b_meter(g)])
+    paths = PathSum.compile(circuit, PhotonState.source(), [b_meter()])
     sel = paths.postselect([g], "D2")
     (wave,) = sel.meter_waves
     by_shift = {round(s, 9): c for s, c in zip(wave.shifts.tolist(), wave.coefficients)}
@@ -184,16 +184,16 @@ def test_joint_norm_unity_random_attachments():
     for _ in range(100):
         n_meters = int(rng.integers(1, 4))
         attachments = []
+        g_row = []
         for i in range(n_meters):
             arm = arms[rng.integers(len(arms))]
             shared = i > 0 and rng.random() < 0.3
             meter_id = attachments[0].meter_id if shared else f"m{i}"
             delta = attachments[0].config.delta if shared else float(rng.uniform(0.25, 4.0))
-            attachments.append(
-                MeterAttachment(meter_id, arm, float(rng.uniform(-1.5, 1.5)), MeterConfig(delta))
-            )
+            attachments.append(MeterAttachment(meter_id, arm, MeterConfig(delta)))
+            g_row.append(float(rng.uniform(-1.5, 1.5)))
         paths = PathSum.compile(circuit, PhotonState.source(), attachments)
-        assert abs(total_norm2(paths, attachments) - 1.0) < 1e-12
+        assert abs(total_norm2(paths, g_row) - 1.0) < 1e-12
 
 
 def test_postselection_completeness_random():
@@ -205,21 +205,21 @@ def test_postselection_completeness_random():
         g = float(rng.uniform(0.0, 2.0))
         delta = float(rng.uniform(0.25, 4.0))
         paths = PathSum.compile(
-            circuit, PhotonState.source(), [MeterAttachment("m", arm, g, MeterConfig(delta))]
+            circuit, PhotonState.source(), [MeterAttachment("m", arm, MeterConfig(delta))]
         )
         total = sum(paths.postselect([g], d).probability for d in ("D1", "D2", "D3"))
         assert abs(total - 1.0) < 1e-12
 
 
 def test_dark_port_occupation_without_meters():
-    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], "E", 3)
+    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], [], "E", 3)
     assert occ < 1e-12
 
 
 def test_e_occupation_with_b_meter_closed_form_and_oracle():
     circuit = build_nested_mzi()
     for g, delta in [(0.1, 1.0), (0.5, 1.0), (1.0, 0.5), (0.3, 2.0)]:
-        occ = arm_occupation(circuit, PhotonState.source(), [b_meter(g, delta)], "E", 3)
+        occ = arm_occupation(circuit, PhotonState.source(), [b_meter(delta)], [g], "E", 3)
         closed = 0.25 * (1.0 - math.exp(-g * g / (4.0 * delta)))
         assert abs(occ - closed) < 1e-12
         sim = oracles.JointGridSim(delta).run([("B", g, 2)], upto=3)
@@ -228,25 +228,24 @@ def test_e_occupation_with_b_meter_closed_form_and_oracle():
 
 def test_e_occupation_small_g_law():
     g, delta = 1e-4, 1.3
-    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [b_meter(g, delta)], "E", 3)
+    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [b_meter(delta)], [g], "E", 3)
     assert occ / g**2 == pytest.approx(1.0 / (16.0 * delta), rel=1e-6)
 
 
 def test_unconditional_pointer_mean_exact_in_g():
     circuit = build_nested_mzi()
     for g in (1e-3, 0.1, 1.0, 2.0):
-        attachments = [b_meter(g)]
-        paths = PathSum.compile(circuit, PhotonState.source(), attachments)
+        paths = PathSum.compile(circuit, PhotonState.source(), [b_meter()])
         # every photon outcome kept: the moments of all arms over the total norm
-        stats = paths.statistics(couplings(attachments), None).values()
-        mean = sum(float(m[0, 0]) for _, m in stats) / total_norm2(paths, attachments)
+        stats = paths.statistics([[g]], None).values()
+        mean = sum(float(m[0, 0]) for _, m in stats) / total_norm2(paths, [g])
         assert abs(mean - g / 4.0) < 1e-12
 
 
 def test_conditional_means_match_grid_oracle():
     circuit = build_nested_mzi()
     for arm, g, delta in [("B", 0.7, 1.0), ("C", 0.4, 0.5), ("A", 1.1, 2.0)]:
-        att = MeterAttachment("m", arm, g, MeterConfig(delta))
+        att = MeterAttachment("m", arm, MeterConfig(delta))
         paths = PathSum.compile(circuit, PhotonState.source(), [att])
         sim = oracles.JointGridSim(delta).run([(arm, g, oracles.ARM_STAGE[arm])])
         for det in ("D1", "D2", "D3"):
@@ -261,11 +260,11 @@ def test_two_private_meters_against_grid_oracle():
     circuit = build_nested_mzi()
     g1, g2, delta = 0.5, 0.3, 1.0
     attachments = [
-        MeterAttachment("mb", "B", g1, MeterConfig(delta)),
-        MeterAttachment("mc", "C", g2, MeterConfig(delta)),
+        MeterAttachment("mb", "B", MeterConfig(delta)),
+        MeterAttachment("mc", "C", MeterConfig(delta)),
     ]
     paths = PathSum.compile(circuit, PhotonState.source(), attachments)
-    assert abs(total_norm2(paths, attachments) - 1.0) < 1e-12
+    assert abs(total_norm2(paths, [g1, g2]) - 1.0) < 1e-12
     sim = oracles.JointGridSim(delta, axes=2, span=14.0).run(
         [("B", g1, 2, 0), ("C", g2, 2, 1)]
     )
@@ -281,8 +280,8 @@ def test_two_private_meters_against_grid_oracle():
 def test_two_meters_factorizable_waves():
     circuit = build_nested_mzi()
     attachments = [
-        MeterAttachment("ma", "A", 0.6, MeterConfig(1.0)),
-        MeterAttachment("me", "E", 0.9, MeterConfig(1.0)),
+        MeterAttachment("ma", "A", MeterConfig(1.0)),
+        MeterAttachment("me", "E", MeterConfig(1.0)),
     ]
     sel = PathSum.compile(circuit, PhotonState.source(), attachments).postselect([0.6, 0.9], "D2")
     wa, we = sel.meter_waves
@@ -296,8 +295,8 @@ def test_shared_meter_shifts_add_along_paths():
     # one pointer kicked in A and then (same id) in B: path shifts accumulate
     circuit = build_nested_mzi()
     attachments = [
-        MeterAttachment("y", "A", 0.2, MeterConfig(1.0)),
-        MeterAttachment("y", "B", 0.5, MeterConfig(1.0)),
+        MeterAttachment("y", "A", MeterConfig(1.0)),
+        MeterAttachment("y", "B", MeterConfig(1.0)),
     ]
     paths = PathSum.compile(circuit, PhotonState.source(), attachments)
     sim = oracles.JointGridSim(1.0).run([("A", 0.2, 1), ("B", 0.5, 2)])
@@ -310,17 +309,22 @@ def test_shared_meter_shifts_add_along_paths():
 def test_arm_occupation_validation():
     circuit = build_nested_mzi()
     with pytest.raises(ValueError):
-        arm_occupation(circuit, PhotonState.source(), [], "E", 1)  # E not live yet
+        arm_occupation(circuit, PhotonState.source(), [], [], "E", 1)  # E not live yet
     with pytest.raises(ValueError):
-        arm_occupation(circuit, PhotonState.source(), [], "B", 5)
+        arm_occupation(circuit, PhotonState.source(), [], [], "B", 5)
 
 
 def test_non_finite_couplings_rejected():
+    # couplings enter only at evaluation, and every entry point checks them
+    circuit = build_nested_mzi()
+    paths = PathSum.compile(circuit, PhotonState.source(), [b_meter()])
     for g in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError):
-            b_meter(g)
-    # batched couplings never build an attachment per row: checked at entry
-    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), [b_meter(0.1)])
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            paths.postselect([g], "D2")
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            paths.statistics([[g]], DETECTORS)
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            arm_occupation(circuit, PhotonState.source(), [b_meter()], [g], "E", 3)
     with pytest.raises(ValueError):
         paths.statistics([[0.1], [float("nan")]], DETECTORS)
     with pytest.raises(ValueError):
@@ -333,14 +337,14 @@ COUPLING = st.floats(-3.0, 3.0)
 
 @st.composite
 def layouts(draw):
-    """One to three attachments on live arms; meters shared or separate."""
+    """One to three attachments on arms of the circuit; meters shared or separate."""
     widths = {}
     layout = []
     for i in range(draw(st.integers(1, 3))):
-        arm, stage = draw(st.sampled_from(LIVE))
+        arm = draw(st.sampled_from(tuple(build_nested_mzi().live)))
         meter = draw(st.sampled_from([f"m{j}" for j in range(i + 1)]))
         delta = widths.setdefault(meter, draw(st.floats(0.05, 5.0)))
-        layout.append(MeterAttachment(meter, arm, 0.0, MeterConfig(delta), insert_after=stage))
+        layout.append(MeterAttachment(meter, arm, MeterConfig(delta)))
     return layout
 
 
@@ -367,7 +371,7 @@ def test_path_sum_batch_properties(layout, mix, phase, data):
 @given(g=st.floats(1e-12, 1e3), delta=st.floats(1e-6, 1e4))
 def test_e_occupation_closed_form_relative(g, delta):
     # the dark-port leakage keeps full relative precision down to g = 1e-12
-    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [b_meter(g, delta)], "E", 3)
+    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [b_meter(delta)], [g], "E", 3)
     closed = -0.25 * math.expm1(-g * g / (4.0 * delta))
     assert abs(occ - closed) <= 1e-12 * closed
 
@@ -379,11 +383,11 @@ def test_occupation_sum_rules(layout, mix, phase, data):
     # A + D = 1 after BS1, A + B + C = 1 after BS2, and so on, meters marginalized
     state = PhotonState({"N": math.cos(mix), "N0": math.sin(mix) * complex(math.cos(phase),
                                                                            math.sin(phase))})
-    layout = [dataclasses.replace(att, g=data.draw(COUPLING)) for att in layout]
+    g_row = [data.draw(COUPLING) for _ in layout]
     circuit = build_nested_mzi()
     for k in range(len(circuit) + 1):
         live = [arm for arm, stage in LIVE if stage == k]
-        total = sum(arm_occupation(circuit, state, layout, arm, k) for arm in live)
+        total = sum(arm_occupation(circuit, state, layout, g_row, arm, k) for arm in live)
         assert abs(total - 1.0) < 1e-12
 
 
