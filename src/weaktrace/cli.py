@@ -174,12 +174,7 @@ def cmd_discontinuity(args: argparse.Namespace) -> int:
 
 def cmd_danan(args: argparse.Namespace) -> int:
     freqs = _parse_floats(args.freqs)
-    if len(freqs) != 3:
-        raise ValueError("--freqs needs exactly three values (M1, M2, M3)")
     enabled = tuple(tok.strip() for tok in args.mirrors.split(",") if tok.strip())
-    for name in enabled:
-        if name not in ("M1", "M2", "M3"):
-            raise ValueError(f"unknown mirror {name!r}; expected M1, M2 or M3")
     schedule = default_schedule(args.g, tuple(freqs), enabled)
     comparison = readout_mode_compare(schedule, args.duration, args.rate, args.delta)
     trace = comparison.trace
@@ -187,7 +182,8 @@ def cmd_danan(args: argparse.Namespace) -> int:
     read = args.read if args.read else ("D2" if args.mode == "weakvalue" else "D3")
     if read not in ("D1", "D2", "D3", "outer"):
         raise ValueError(f"--read must be D1, D2, D3 or outer, got {read!r}")
-    peaks = {**comparison.per_port_mean_peaks, **comparison.mean_mode_peaks}[f"{read}_mean"]
+    lines = comparison.lines
+    peaks = lines[f"{read}_mean"]
 
     meta = _meta("danan", mode=args.mode, mirrors=",".join(enabled), read=read,
                  g0=_fmt(args.g), delta=_fmt(args.delta), duration=_fmt(args.duration),
@@ -199,9 +195,9 @@ def cmd_danan(args: argparse.Namespace) -> int:
         return _write_json({
             "meta": meta,
             "peaks": {
-                "weak_value_mode_D2": comparison.weak_value_peaks,
-                "mean_mode": comparison.mean_mode_peaks,
-                "per_port_diagnostics": comparison.per_port_mean_peaks,
+                "weak_value_mode_D2": lines["D2_mean"],
+                "mean_mode": {k: lines[k] for k in ("D3_mean", f"{OUTER}_mean")},
+                "per_port_diagnostics": {k: lines[k] for k in ("D1_mean", "D2_mean")},
             },
             "times": trace.times.tolist(),
             "series": {k: (trace.series[k] + 0.0).tolist() for k in order},

@@ -12,7 +12,7 @@ conditional pointer mean are recorded, and power spectra identify which
 mirror frequencies show up where.
 
 Two readout modes are compared. Weak-value mode reads the conditional
-pointer mean at D2: every enabled mirror leaves a line there, with
+pointer mean at D2: every vibrating mirror leaves a line there, with
 amplitude g0 * Re(weak value). Mean-value mode reads detectors without
 postselecting inside an interferometer output: the inner-arm traces (f2,
 f3) appear at D3 with amplitude g0/2 exactly, while the pooled outer
@@ -21,8 +21,8 @@ outer region) carries no inner-arm line at linear order. The two outer
 ports taken *separately* do each show an f2 line of size ~g0/2 with
 opposite signs - a BS4 interference effect fed by the measurement-induced
 dark-port leakage - which is why the pooled series, not the per-port
-ones, is the mean-mode outer readout; the per-port peaks stay available
-as diagnostics.
+ones, is the mean-mode outer readout. One line table per conditional-mean
+series holds all of these; a readout picks its series from it.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class Mirror:
     arm: str
     frequency: float
     amplitude: float
-    enabled: bool = True
 
     def __post_init__(self) -> None:
         if self.arm not in ("A", "B", "C"):
@@ -68,17 +67,14 @@ class Mirror:
 
 @dataclass(frozen=True)
 class MirrorSchedule:
+    """The mirrors that vibrate; an empty schedule is the undisturbed run."""
+
     mirrors: tuple[Mirror, ...]
 
     def __post_init__(self) -> None:
-        if not self.mirrors:
-            raise ValueError("empty schedule: no mirrors defined")
-        freqs = [m.frequency for m in self.enabled()]
+        freqs = [m.frequency for m in self.mirrors]
         if len(set(freqs)) != len(freqs):
             raise ValueError("enabled mirror frequencies must be pairwise distinct")
-
-    def enabled(self) -> tuple[Mirror, ...]:
-        return tuple(m for m in self.mirrors if m.enabled)
 
 
 def default_schedule(
@@ -86,11 +82,20 @@ def default_schedule(
     frequencies: tuple[float, float, float] = (3.0, 5.0, 7.0),
     enabled: tuple[str, ...] = ("M1", "M2", "M3"),
 ) -> MirrorSchedule:
-    """M1/M2/M3 on arms A/B/C at bin-friendly integer frequencies."""
-    return MirrorSchedule(tuple(
-        Mirror(name, _MIRROR_ARMS[name], f, g0, enabled=name in enabled)
-        for name, f in zip(("M1", "M2", "M3"), frequencies)
-    ))
+    """M1/M2/M3 on arms A/B/C at bin-friendly integer frequencies.
+
+    All three mirrors are built and checked, and only those named in
+    ``enabled`` are kept. A frequency count other than three or an unknown
+    name raises ValueError.
+    """
+    if len(frequencies) != 3:
+        raise ValueError(f"need exactly three frequencies (M1, M2, M3), got {len(frequencies)}")
+    for name in enabled:
+        if name not in _MIRROR_ARMS:
+            raise ValueError(f"unknown mirror {name!r}; expected M1, M2 or M3")
+    mirrors = [Mirror(name, arm, f, g0)
+               for (name, arm), f in zip(_MIRROR_ARMS.items(), frequencies)]
+    return MirrorSchedule(tuple(m for m in mirrors if m.name in enabled))
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ def simulate_traces(
 ) -> TraceResult:
     """Quasi-static run of the vibrating-mirror setup.
 
-    At each sample the enabled mirrors set couplings g_i(t) on their arms,
+    At each sample the schedule's mirrors set couplings g_i(t) on their arms,
     all feeding one shared pointer; one batched evaluation of the compiled
     path sum then yields, per detector and sample, the arrival probability
     and conditional pointer mean, plus the pooled outer-port pair of series.
@@ -156,7 +161,7 @@ def simulate_traces(
     if not set(DETECTORS) <= set(circuit.detectors):
         raise ValueError(f"the traces need detectors {DETECTORS}; "
                          f"the circuit has {circuit.detectors}")
-    mirrors = schedule.enabled()
+    mirrors = schedule.mirrors
     if mirrors and sample_rate <= 2.0 * max(m.frequency for m in mirrors):
         raise ValueError("sample rate violates Nyquist for the fastest enabled mirror")
     n_float = duration * sample_rate
@@ -200,37 +205,27 @@ def simulate_traces(
 
 @dataclass(frozen=True)
 class ModeComparison:
-    """Side-by-side peak tables for the two readout modes.
+    """One line table per conditional-mean series, for both readout modes.
 
-    Peak tables map series name to {mirror name: amplitude}; only peaks
-    above ``floor`` = g0_max min(g0_max/sqrt(delta), 1/8) are listed, so
-    with all mirrors off every table is empty. The lines depend on g0 and
+    ``lines`` maps D1_mean, D2_mean, D3_mean and outer_mean to {mirror
+    name: amplitude}. Weak-value mode reads D2_mean; mean-value mode reads
+    D3_mean and the pooled outer_mean. The per-port D1_mean and D2_mean
+    lines of the inner arms are equal and opposite: interference
+    diagnostics, not part of the mean-mode readout. Only lines above
+    ``floor`` = g0_max min(g0_max/sqrt(delta), 1/8) are listed, so with no
+    mirror vibrating every table is empty. The lines depend on g0 and
     delta only through g0/sqrt(delta), up to an overall factor g0, and so
     does the floor. Present lines scale as g0 Re(weak value) and absent
     ones as g0^3/delta, and the floor lies between the two for
     g0_max/sqrt(delta) up to about 1. Above that no floor separates them:
     at g0 = 2, delta = 1, D1's M2 line (0.117) is below the absent outer
     M2 line (0.157).
-    ``per_port_mean_peaks`` exposes the D1/D2 per-port conditional means
-    separately; their equal-and-opposite inner-arm lines are interference
-    diagnostics, not part of the mean-mode readout.
     """
 
     g0_max: float
     floor: float
-    weak_value_peaks: dict[str, float]  # D2 conditional mean, per mirror
-    mean_mode_peaks: dict[str, dict[str, float]]  # D3_mean and outer_mean series
-    per_port_mean_peaks: dict[str, dict[str, float]]  # D1_mean / D2_mean diagnostics
+    lines: dict[str, dict[str, float]]
     trace: TraceResult
-
-
-def _peaks_above(series, sample_rate, mirrors, floor) -> dict[str, float]:
-    peaks = {}
-    for m in mirrors:
-        amp = sinusoid_amplitude(series, sample_rate, m.frequency)
-        if amp > floor:
-            peaks[m.name] = amp
-    return peaks
 
 
 def readout_mode_compare(
@@ -242,17 +237,12 @@ def readout_mode_compare(
 ) -> ModeComparison:
     """Weak-value readout (D2 line spectrum) vs mean-value readout (D3 + pooled outer)."""
     trace = simulate_traces(schedule, duration, sample_rate, delta, circuit)
-    mirrors = schedule.enabled()
-    g0_max = max((abs(m.amplitude) for m in mirrors), default=0.0)
+    g0_max = max((abs(m.amplitude) for m in schedule.mirrors), default=0.0)
     # scales with g0_max at fixed g0_max/sqrt(delta), as every line does
     floor = g0_max * min(g0_max / math.sqrt(delta), 0.125)
-    weak_value_peaks = _peaks_above(trace.series["D2_mean"], sample_rate, mirrors, floor)
-    mean_mode_peaks = {
-        key: _peaks_above(trace.series[key], sample_rate, mirrors, floor)
-        for key in ("D3_mean", f"{OUTER}_mean")
-    }
-    per_port = {
-        key: _peaks_above(trace.series[key], sample_rate, mirrors, floor)
-        for key in ("D1_mean", "D2_mean")
-    }
-    return ModeComparison(g0_max, floor, weak_value_peaks, mean_mode_peaks, per_port, trace)
+    lines = {}
+    for key in (f"{det}_mean" for det in (*DETECTORS, OUTER)):
+        amps = {m.name: sinusoid_amplitude(trace.series[key], sample_rate, m.frequency)
+                for m in schedule.mirrors}
+        lines[key] = {name: amp for name, amp in amps.items() if amp > floor}
+    return ModeComparison(g0_max, floor, lines, trace)

@@ -98,8 +98,8 @@ class PathSum:
 
         The attachments fix the layout (meter, arm, delta); each acts where
         its arm becomes live, and an arm the circuit lacks raises ValueError.
-        Nonzero input amplitude on an output port of one of the ``upto``
-        stages raises PipelineError.
+        Nonzero input amplitude on an output port of any stage of the
+        circuit raises PipelineError, wherever the sum is cut.
         """
         upto = len(circuit) if upto is None else upto
         if not 0 <= upto <= len(circuit):
@@ -123,7 +123,7 @@ class PathSum:
 
         # an arm is produced by at most one stage and never consumed before
         # it, so only the input can occupy a stage's output port
-        for bs in circuit.stages[:upto]:
+        for bs in circuit.stages:
             for out in bs.outputs:
                 if input_state.amplitudes.get(out, 0) != 0:
                     raise PipelineError(

@@ -20,6 +20,7 @@ from weaktrace import (
     NoPostselectedEventsError,
     PathSum,
     PhotonState,
+    PipelineError,
     UndefinedWeakValueError,
     arm_occupation,
     build_nested_mzi,
@@ -86,6 +87,19 @@ def test_weak_value_unknown_labels():
     for arm, detector in (("Q", "D2"), ("B", "Q")):
         with pytest.raises(ValueError):
             weak_value_analytic(arm, detector=detector)
+
+
+def test_weak_value_columns_reject_an_occupied_detector_port():
+    # the TSVF forward sum for B stops before BS4, which outputs to D1;
+    # the preparation is still invalid for the circuit, so every column raises
+    bad = PhotonState({"N": 1, "D1": 1e-7})
+    for arm in TABLE_ARMS:
+        with pytest.raises(PipelineError, match="BS4"):
+            weak_value_tsvf(arm, bad, "D1")
+        with pytest.raises(PipelineError, match="BS4"):
+            weak_value_analytic(arm, bad, "D1")
+        with pytest.raises(PipelineError, match="BS4"):
+            weak_mean_value(arm, bad)
 
 
 def test_tsvf_backward_state_overlap():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ive
 
@@ -30,7 +30,9 @@ DURATION = 1.0
 
 
 def test_all_mirrors_disabled_flat():
-    schedule = default_schedule(1e-2, enabled=())
+    # a schedule holds only the mirrors that vibrate: empty is the undisturbed run
+    schedule = MirrorSchedule(())
+    assert default_schedule(1e-2, enabled=()) == schedule
     trace = simulate_traces(schedule, DURATION, RATE, DELTA)
     for key in ("D1_mean", "D2_mean", "D3_mean", "outer_mean"):
         assert np.all(trace.series[key] == 0.0)
@@ -91,7 +93,7 @@ def test_m2_only_spectrum_normalization():
 
 def test_weak_value_mode_peak_ratios():
     comparison = readout_mode_compare(default_schedule(1e-2), DURATION, RATE, DELTA)
-    peaks = comparison.weak_value_peaks
+    peaks = comparison.lines["D2_mean"]
     assert set(peaks) == {"M1", "M2", "M3"}
     assert peaks["M1"] / peaks["M2"] == pytest.approx(2.0, rel=0.02)
     assert peaks["M1"] / peaks["M3"] == pytest.approx(2.0, rel=0.02)
@@ -102,18 +104,17 @@ def test_mean_mode_m2_only_all_signal_at_d3():
     comparison = readout_mode_compare(
         default_schedule(g0, enabled=("M2",)), DURATION, RATE, DELTA
     )
-    assert set(comparison.mean_mode_peaks["D3_mean"]) == {"M2"}
-    assert comparison.mean_mode_peaks["D3_mean"]["M2"] == pytest.approx(g0 / 2, rel=1e-9)
+    assert set(comparison.lines["D3_mean"]) == {"M2"}
+    assert comparison.lines["D3_mean"]["M2"] == pytest.approx(g0 / 2, rel=1e-9)
     # the weak-value readout at D2 still shows the f2 line, as in the
     # postselected experiment
-    assert comparison.weak_value_peaks["M2"] == pytest.approx(g0 / 2, rel=0.01)
+    assert comparison.lines["D2_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
     # pooled outer output: nothing above the quadratic floor
-    assert comparison.mean_mode_peaks["outer_mean"] == {}
+    assert comparison.lines["outer_mean"] == {}
     outer_amp = sinusoid_amplitude(comparison.trace.series["outer_mean"], RATE, 5.0)
     assert outer_amp < g0**2
     # the per-port conditional means do show the interference line ~ g0/2
-    assert comparison.per_port_mean_peaks["D1_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
-    assert comparison.per_port_mean_peaks["D2_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
+    assert comparison.lines["D1_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
 
 
 def test_mean_mode_m1_signal_at_outer_not_d3():
@@ -121,28 +122,24 @@ def test_mean_mode_m1_signal_at_outer_not_d3():
     comparison = readout_mode_compare(
         default_schedule(g0, enabled=("M1",)), DURATION, RATE, DELTA
     )
-    assert comparison.mean_mode_peaks["outer_mean"]["M1"] == pytest.approx(g0, rel=1e-9)
-    assert comparison.mean_mode_peaks["D3_mean"] == {}
+    assert comparison.lines["outer_mean"]["M1"] == pytest.approx(g0, rel=1e-9)
+    assert comparison.lines["D3_mean"] == {}
     assert np.max(np.abs(comparison.trace.series["D3_mean"])) < 1e-12
 
 
 def test_linearity_peaks_scale_with_g0():
     base = readout_mode_compare(default_schedule(1e-2), DURATION, RATE, DELTA)
     half = readout_mode_compare(default_schedule(5e-3), DURATION, RATE, DELTA)
-    for mirror, amp in base.weak_value_peaks.items():
-        assert half.weak_value_peaks[mirror] == pytest.approx(amp / 2, rel=0.01)
-    for series in ("D3_mean",):
-        for mirror, amp in base.mean_mode_peaks[series].items():
-            assert half.mean_mode_peaks[series][mirror] == pytest.approx(amp / 2, rel=0.01)
+    for series in ("D2_mean", "D3_mean"):
+        for mirror, amp in base.lines[series].items():
+            assert half.lines[series][mirror] == pytest.approx(amp / 2, rel=0.01)
 
 
 def test_mode_compare_all_off_empty_tables():
     comparison = readout_mode_compare(
         default_schedule(1e-2, enabled=()), DURATION, RATE, DELTA
     )
-    assert comparison.weak_value_peaks == {}
-    assert all(not peaks for peaks in comparison.mean_mode_peaks.values())
-    assert all(not peaks for peaks in comparison.per_port_mean_peaks.values())
+    assert comparison.lines == {"D1_mean": {}, "D2_mean": {}, "D3_mean": {}, "outer_mean": {}}
 
 
 @pytest.mark.parametrize("g0", [0.5, 1.0])
@@ -151,13 +148,12 @@ def test_line_floor_separates_lines_up_to_g0_1(g0):
     # M2 line (0.215) is below g0^2 / (4 g0) = 0.25 but above g0 / 8
     comparison = readout_mode_compare(default_schedule(g0), DURATION, 64.0, DELTA)
     assert comparison.floor == pytest.approx(g0 / 8, rel=1e-15)
-    assert set(comparison.weak_value_peaks) == {"M1", "M2", "M3"}
-    assert set(comparison.per_port_mean_peaks["D2_mean"]) == {"M1", "M2", "M3"}
-    assert set(comparison.per_port_mean_peaks["D1_mean"]) == {"M1", "M2", "M3"}
-    assert set(comparison.mean_mode_peaks["D3_mean"]) == {"M2", "M3"}
-    assert set(comparison.mean_mode_peaks["outer_mean"]) == {"M1"}
+    assert set(comparison.lines["D2_mean"]) == {"M1", "M2", "M3"}
+    assert set(comparison.lines["D1_mean"]) == {"M1", "M2", "M3"}
+    assert set(comparison.lines["D3_mean"]) == {"M2", "M3"}
+    assert set(comparison.lines["outer_mean"]) == {"M1"}
     # D3's mean-mode lines are g0/2 exactly at every g0
-    for amp in comparison.mean_mode_peaks["D3_mean"].values():
+    for amp in comparison.lines["D3_mean"].values():
         assert amp == pytest.approx(g0 / 2, rel=1e-9)
 
 
@@ -172,17 +168,17 @@ def test_line_tables_scale_covariant(g0, delta, k):
         default_schedule(math.ldexp(g0, k)), DURATION, 64.0, math.ldexp(delta, 2 * k)
     )
     assert scaled.floor == math.ldexp(base.floor, k)
-
-    def tables(c):
-        return [c.weak_value_peaks, *c.mean_mode_peaks.values(), *c.per_port_mean_peaks.values()]
-
-    for before, after in zip(tables(base), tables(scaled), strict=True):
-        assert after == {name: math.ldexp(amp, k) for name, amp in before.items()}
+    assert scaled.lines == {
+        series: {name: math.ldexp(amp, k) for name, amp in lines.items()}
+        for series, lines in base.lines.items()
+    }
 
 
 @settings(max_examples=80, deadline=None)
 @given(arm=st.sampled_from("ABC"), detector=st.sampled_from(DETECTORS), f=st.integers(1, 7),
        ratio=st.floats(0.0, 10.0), delta=st.floats(0.25, 4.0))
+# a subnormal series, whose 1e-13 bound alone is below the smallest subnormal
+@example(arm="B", detector="D1", f=1, ratio=2.225073858507e-311, delta=0.25)
 def test_single_mirror_lines_match_bessel_oracle(arm, detector, f, ratio, delta):
     g0, rate = ratio * math.sqrt(delta), 256.0
     # harmonic orders from k0 on reach Nyquist and would alias onto the lines
@@ -195,9 +191,12 @@ def test_single_mirror_lines_match_bessel_oracle(arm, detector, f, ratio, delta)
     prob_lines, moment_lines = oracles.mirror_lines(arm, detector, g0, delta, f, rate)
     for series, lines in ((prob, prob_lines), (moment, moment_lines)):
         scale = np.abs(series).max()
+        # one ulp of the scale is the finest step a subnormal series resolves;
+        # for a normal-range series it is about 2.2e-16 scale, inside 1e-13 scale
+        bound = max(1e-13 * scale, math.ulp(scale))
         for frequency, amplitude in lines.items():
             line = sinusoid_amplitude(series, rate, frequency)
-            assert abs(line - amplitude) <= 1e-13 * scale
+            assert abs(line - amplitude) <= bound
 
 
 def test_power_spectrum_pure_and_mixed_sinusoids():
@@ -246,9 +245,20 @@ def test_sample_count_rejected_before_allocation(monkeypatch):
             simulate_traces(schedule, duration, rate, DELTA)
 
 
+def test_default_schedule_checks_its_arguments():
+    for freqs in ((3.0, 5.0), (3.0, 5.0, 7.0, 9.0)):
+        with pytest.raises(ValueError, match="three frequencies"):
+            default_schedule(1e-2, freqs)
+    with pytest.raises(ValueError, match="unknown mirror 'M4'"):
+        default_schedule(1e-2, enabled=("M4",))
+    # every mirror is checked, the ones that do not vibrate too
+    with pytest.raises(ValueError, match="M1"):
+        default_schedule(1e-2, (-3.0, 5.0, 7.0), enabled=("M2",))
+    schedule = default_schedule(1e-2, enabled=("M3", "M2"))
+    assert schedule.mirrors == (Mirror("M2", "B", 5.0, 1e-2), Mirror("M3", "C", 7.0, 1e-2))
+
+
 def test_simulate_traces_validation():
-    with pytest.raises(ValueError):
-        MirrorSchedule(())
     schedule = default_schedule(1e-2)
     with pytest.raises(ValueError):
         simulate_traces(schedule, DURATION, 10.0, DELTA)  # Nyquist: max f is 7

@@ -99,8 +99,9 @@ def test_pipeline_layout_checks():
     with pytest.raises(PipelineError, match="BS4: nonzero amplitude already present on output "
                                             "port D1"):
         PathSum.compile(circuit, PhotonState({"N": 1, "D1": 1e-7}))
-    # past the cut, BS4 has not fired
-    PathSum.compile(circuit, PhotonState({"N": 1, "D1": 1e-7}), upto=3)
+    # the preparation is checked against the whole circuit, not the cut
+    with pytest.raises(PipelineError, match="BS4"):
+        PathSum.compile(circuit, PhotonState({"N": 1, "D1": 1e-7}), upto=3)
     two_widths = [b_meter(1.0, "m"), MeterAttachment("m", "A", MeterConfig(2.0))]
     with pytest.raises(ValueError):
         PathSum.compile(circuit, PhotonState.source(), two_widths)
