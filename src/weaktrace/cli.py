@@ -40,7 +40,6 @@ import sys
 
 from . import __version__
 from .criteria import (
-    UndefinedWeakValueError,
     discontinuity_report,
     monte_carlo_weak_value,
     weak_mean_value,
@@ -280,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoPostselectedEventsError as exc:
         print(f"weaktrace: no postselected events: {exc}", file=sys.stderr)
         return EXIT_NO_EVENTS
-    except (ValueError, UndefinedWeakValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"weaktrace: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

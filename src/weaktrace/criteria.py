@@ -11,10 +11,11 @@ The non-postselected alternative reads the *unconditional* pointer mean,
 which equals g times the plain projector expectation at the arm's stage,
 exactly, at every coupling strength; its g -> 0 limit is continuous.
 
-Both are read off one compiled ``PathSum`` per layout. The weak value is
-the summed amplitude of the detector-bound paths that cross the probed arm
-over that of all detector-bound paths; pointer means, postselection and
-arm occupations come from the sum's merged terms and Gram statistics.
+Both are read off compiled ``PathSum``s, whose paths carry their routes.
+A meter kicks every path that passes through its arm. The weak value is
+the summed amplitude of the detector-bound routes through the arm over
+that of all detector-bound paths; pointer means, postselection and arm
+occupations come from the sum's merged terms and Gram statistics.
 ``weak_value_tsvf`` pairs two path sums at the cut where the probed arm
 becomes live: the forward ket of the circuit up to the cut and the
 backward ket of the detector through the circuit's adjoint back to it.
@@ -52,25 +53,35 @@ def _default_input(state: PhotonState | None) -> PhotonState:
 
 
 def _probe(arm: str, delta: float) -> list[MeterAttachment]:
-    """The one-meter layout: meter "probe" on ``arm`` at the arm's first stage."""
+    """The one-meter layout: meter "probe" kicks every path through ``arm``."""
     return [MeterAttachment("probe", arm, MeterConfig(delta))]
 
 
-def _path_weak_value(paths: PathSum, detector: str) -> complex:
-    """Weak value of the probed arm's projector, read off a one-probe path sum.
+def _coupling_grid(values, noun: str) -> list[float]:
+    """``values`` as floats; ValueError unless non-empty, positive and strictly decreasing."""
+    grid = [float(g) for g in values]
+    if not grid or any(g <= 0 for g in grid):
+        raise ValueError(f"{noun} must be non-empty and strictly positive")
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{noun} must be strictly decreasing")
+    return grid
+
+
+def _path_weak_value(paths: PathSum, arm: str, detector: str) -> complex:
+    """Weak value of the projector onto ``arm``, read off the routes of a path sum.
 
     The plain transition amplitude <detector|U|in> sums the amplitudes of
     the paths that end at the detector; the projector-inserted one keeps
-    only those among them that cross the probe.
+    only those among them whose routes pass through ``arm``.
     """
     paths.circuit.require_detector(detector)
-    ending = [p for p, arm in enumerate(paths.arms) if arm == detector]
+    ending = [p for p, end in enumerate(paths.arms) if end == detector]
     den = sum(paths.amplitudes[p] for p in ending)
     if abs(den) < _DENOM_FLOOR:
         raise UndefinedWeakValueError(
             f"postselection on {detector} has zero amplitude; weak value undefined"
         )
-    return sum(paths.amplitudes[p] for p in ending if paths.incidence[p].any()) / den
+    return sum(paths.amplitudes[p] for p in ending if arm in paths.routes[p]) / den
 
 
 def weak_value_analytic(
@@ -82,9 +93,8 @@ def weak_value_analytic(
     """Weak value of the arm projector for the given pre/postselection."""
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    # only the probe's incidence is read, so its delta is a placeholder
-    paths = PathSum.compile(circuit, in_state, _probe(arm, 1.0))
-    return _path_weak_value(paths, detector)
+    circuit.live_stages(arm)
+    return _path_weak_value(PathSum.compile(circuit, in_state), arm, detector)
 
 
 def tsvf_backward_state(
@@ -178,11 +188,7 @@ def weak_value_operational(
     recorded; the g -> 0 limit is extrapolated in g^2 from the three
     smallest couplings.
     """
-    g_list = [float(g) for g in g_list]
-    if not g_list or any(g <= 0 for g in g_list):
-        raise ValueError("g sweep must be non-empty and strictly positive")
-    if any(b >= a for a, b in zip(g_list, g_list[1:])):
-        raise ValueError("g sweep must be strictly decreasing")
+    g_list = _coupling_grid(g_list, "g sweep")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     circuit.require_detector(detector)
@@ -195,7 +201,7 @@ def weak_value_operational(
             )
     estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment[:, 0])]
     limit = extrapolate_even_limit(*zip(*estimates))
-    analytic = _path_weak_value(paths, detector)
+    analytic = _path_weak_value(paths, arm, detector)
     return WeakValueRecord(arm, detector, analytic, tuple(estimates), limit)
 
 
@@ -310,8 +316,8 @@ class DiscontinuityReport:
     ``rows`` all carry a strictly positive E-arm occupation and a pointer
     ratio near the extrapolated weak value; ``zero_row`` has no E-arm
     state and no defined ratio at all. ``b_signal_via_e`` records that the
-    entire coupled (shift-g) part of the postselected D2 wave arrives
-    through the dark arm E.
+    coupled (shift-g) part of the postselected D2 wave all arrives through
+    the dark arm E: every D2-bound route through B that avoids E cancels.
     """
 
     delta: float
@@ -344,11 +350,7 @@ def discontinuity_report(
     scalar analogy column mirrors f(x) = a x, whose ratio f(x)/x holds the
     limit a at every x > 0 yet is undefined at x = 0.
     """
-    g_grid = [float(g) for g in g_grid]
-    if not g_grid or any(g <= 0 for g in g_grid):
-        raise ValueError("g grid must be non-empty and strictly positive")
-    if any(b >= a for a, b in zip(g_grid, g_grid[1:])):
-        raise ValueError("g grid must be strictly decreasing")
+    g_grid = _coupling_grid(g_grid, "g grid")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     missing = [arm for arm in ("B", "E") if arm not in circuit.live]
@@ -369,18 +371,14 @@ def discontinuity_report(
     p_e_zero, _ = inner.statistics([[0.0]], ("E",))["E"]
     zero_row = DiscontinuityRow(0.0, float(p_e_zero[0]), None, None)
 
-    # the whole coupled (shift-g) part of the postselected D2 wave comes
-    # from the D2-bound paths that cross both B and E; the zero coupling on
-    # E only marks which paths cross it
-    g_probe = g_grid[0]
-    paths = PathSum.compile(circuit, in_state, _probe("B", delta) + _probe("E", delta))
-    coeffs, shifts = paths.merged([[g_probe, 0.0]], ("D2",))["D2"]
-    coupled = sum(c for c, s in zip(coeffs, shifts[:, 0, 0]) if s == g_probe)
-    via_e = sum(
-        c for arm, c, hit in zip(paths.arms, paths.amplitudes, paths.incidence)
-        if arm == "D2" and hit.any(axis=1).all()
+    # the B meter shifts exactly the D2-bound paths through B, so its whole
+    # coupled part arrives via E iff those of them that avoid E cancel
+    paths = PathSum.compile(circuit, in_state)
+    direct = sum(
+        c for route, c in zip(paths.routes, paths.amplitudes)
+        if route[-1] == "D2" and "B" in route and "E" not in route
     )
-    b_signal_via_e = bool(abs(coupled - via_e) < 1e-12)
+    b_signal_via_e = bool(abs(direct) < 1e-12)
 
     return DiscontinuityReport(
         delta=delta,

@@ -75,6 +75,9 @@ class MirrorSchedule:
         freqs = [m.frequency for m in self.mirrors]
         if len(set(freqs)) != len(freqs):
             raise ValueError("enabled mirror frequencies must be pairwise distinct")
+        names = [m.name for m in self.mirrors]
+        if len(set(names)) != len(names):
+            raise ValueError("mirror names must be pairwise distinct")
 
 
 def default_schedule(

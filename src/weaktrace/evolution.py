@@ -11,7 +11,8 @@ caller chooses a small g.
 
 ``PathSum.compile`` builds that sum once per circuit, input state,
 attachment layout and stage count: the paths (at most 2^4 here), their
-final arms and amplitudes, and a path x attachment incidence matrix. The
+routes (the arms each passes) and amplitudes, and a path x attachment
+incidence matrix: an attachment kicks every path through its arm. The
 couplings enter only at evaluation, as a batch G of coupling vectors (one
 row per set of g values, one column per attachment), so a whole g-sweep or
 every quasi-static sample of a vibrating-mirror trace is one evaluation.
@@ -53,9 +54,8 @@ class EntangledMetersError(ValueError):
 class MeterAttachment:
     """One coupling site: meter ``meter_id`` measures the projector onto ``arm``.
 
-    It is pure layout. The coupling acts at the first stage count at which
-    the circuit the attachment is compiled into makes the arm live
-    (``Circuit.live``); its strength g is supplied per evaluation.
+    It is pure layout: it kicks every path that passes through its arm, and
+    its strength g is supplied per evaluation.
     """
 
     meter_id: str
@@ -70,15 +70,16 @@ class MeterAttachment:
 class PathSum:
     """Photon paths through the first ``stage`` stages, compiled for one layout.
 
-    Path p ends in ``arms[p]`` with amplitude ``amplitudes[p]``: the input
-    amplitude times the beamsplitter entries along the path.
-    ``incidence[p, a, m]`` is 1 iff path p crosses attachment a and that
-    attachment kicks meter m. Couplings are supplied per evaluation, so one
-    compiled sum serves any batch of coupling vectors. ``circuit`` is the
-    circuit it was compiled from.
+    Path p passes the arms ``routes[p]``, from its input arm to its final
+    arm ``arms[p]``, with amplitude ``amplitudes[p]``: the input amplitude
+    times the beamsplitter entries along the route. ``incidence[p, a, m]``
+    is 1 iff attachment a kicks meter m and its arm is in ``routes[p]``.
+    Couplings are supplied per evaluation, so one compiled sum serves any
+    batch of coupling vectors. ``circuit`` is the circuit it was compiled
+    from.
     """
 
-    arms: tuple[str, ...]
+    routes: tuple[tuple[str, ...], ...]
     amplitudes: tuple[complex, ...]
     incidence: np.ndarray
     meter_ids: tuple[str, ...]
@@ -96,8 +97,8 @@ class PathSum:
     ) -> "PathSum":
         """Enumerate the paths of ``input_state`` through ``upto`` stages.
 
-        The attachments fix the layout (meter, arm, delta); each acts where
-        its arm becomes live, and an arm the circuit lacks raises ValueError.
+        The attachments fix the layout (meter, arm, delta); each kicks the
+        paths through its arm, and an arm the circuit lacks raises ValueError.
         Nonzero input amplitude on an output port of any stage of the
         circuit raises PipelineError, wherever the sum is cut.
         """
@@ -107,10 +108,8 @@ class PathSum:
         meter_ids: list[str] = []
         configs: list[MeterConfig] = []
         slots = []
-        # attachment indices by (insertion stage, arm)
-        acting: dict[tuple[int, str], tuple[int, ...]] = {}
-        for a, att in enumerate(attachments):
-            k = circuit.live_stages(att.arm).start
+        for att in attachments:
+            circuit.live_stages(att.arm)
             if att.meter_id not in meter_ids:
                 meter_ids.append(att.meter_id)
                 configs.append(att.config)
@@ -118,8 +117,6 @@ class PathSum:
             if configs[slot].delta != att.config.delta:
                 raise ValueError(f"meter {att.meter_id!r} attached twice with different delta")
             slots.append(slot)
-            key = (k, att.arm)
-            acting[key] = acting.get(key, ()) + (a,)
 
         # an arm is produced by at most one stage and never consumed before
         # it, so only the input can occupy a stage's output port
@@ -129,38 +126,40 @@ class PathSum:
                     raise PipelineError(
                         f"BS{bs.ident}: nonzero amplitude already present on output port {out}"
                     )
-        # a path is (current arm, amplitude, indices of the attachments crossed)
-        paths = [
-            (arm, complex(c), acting.get((0, arm), ()))
-            for arm, c in input_state.amplitudes.items()
-            if c != 0
-        ]
-        for k, bs in enumerate(circuit.stages[:upto], start=1):
+        # a path is (route, amplitude)
+        paths = [((arm,), complex(c)) for arm, c in input_state.amplitudes.items() if c != 0]
+        for bs in circuit.stages[:upto]:
             m = bs.amplitude_matrix.tolist()
             moved = []
-            for arm, c, hit in paths:
-                if arm not in bs.inputs:
-                    moved.append((arm, c, hit + acting.get((k, arm), ())))
+            for route, c in paths:
+                if route[-1] not in bs.inputs:
+                    moved.append((route, c))
                     continue
-                col = bs.inputs.index(arm)
+                col = bs.inputs.index(route[-1])
                 for row, out in enumerate(bs.outputs):
                     amp = c * m[row][col]
                     if amp != 0:
-                        moved.append((out, amp, hit + acting.get((k, out), ())))
+                        moved.append((route + (out,), amp))
             paths = moved
         incidence = np.zeros((len(paths), len(attachments), len(meter_ids)))
-        for p, (_, _, hit) in enumerate(paths):
-            for a in hit:
-                incidence[p, a, slots[a]] = 1.0
+        for p, (route, _) in enumerate(paths):
+            for a, att in enumerate(attachments):
+                if att.arm in route:
+                    incidence[p, a, slots[a]] = 1.0
         return cls(
-            arms=tuple(arm for arm, _, _ in paths),
-            amplitudes=tuple(c for _, c, _ in paths),
+            routes=tuple(route for route, _ in paths),
+            amplitudes=tuple(c for _, c in paths),
             incidence=incidence,
             meter_ids=tuple(meter_ids),
             configs=tuple(configs),
             stage=upto,
             circuit=circuit,
         )
+
+    @property
+    def arms(self) -> tuple[str, ...]:
+        """The final arm of each path."""
+        return tuple(route[-1] for route in self.routes)
 
     def ket(self) -> PhotonState:
         """The photon state the paths reach, meters left out.

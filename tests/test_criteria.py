@@ -84,9 +84,10 @@ def test_weak_value_random_preselection(mix, phase, arm, detector):
 
 
 def test_weak_value_unknown_labels():
-    for arm, detector in (("Q", "D2"), ("B", "Q")):
+    # E is not an arm of the two-stage circuit
+    for arm, detector, circuit in (("Q", "D2", None), ("B", "Q", None), ("E", "D1", TWO_STAGE)):
         with pytest.raises(ValueError):
-            weak_value_analytic(arm, detector=detector)
+            weak_value_analytic(arm, detector=detector, circuit=circuit)
 
 
 def test_weak_value_columns_reject_an_occupied_detector_port():
@@ -336,6 +337,8 @@ def test_discontinuity_grid_validation():
         discontinuity_report([0.1, 0.5], delta=1.0)
     with pytest.raises(ValueError):
         discontinuity_report([], delta=1.0)
+    with pytest.raises(ValueError):
+        discontinuity_report([0.5, -0.1], delta=1.0)
 
 
 # ------------------------------------------------------------- other circuits
@@ -387,6 +390,19 @@ def test_discontinuity_report_names_missing_arms():
     ))
     with pytest.raises(ValueError, match="lacks B, E, D2$"):
         discontinuity_report([0.1, 0.01], delta=1.0, circuit=no_b_e_d2)
+
+
+def test_b_signal_bypasses_e_when_d2_is_the_bright_inner_port():
+    # D2 and D3 swapped: B reaches D2 directly through BS3, without E
+    relabelled = Circuit((
+        BeamSplitter(1, ("N", "N0"), ("D", "A"), _BALANCED),
+        BeamSplitter(2, ("D", "D0"), ("C", "B"), _BALANCED),
+        BeamSplitter(3, ("B", "C"), ("D2", "E"), _BALANCED),
+        BeamSplitter(4, ("A", "E"), ("D1", "D3"), _BALANCED),
+    ))
+    report = discontinuity_report([0.1, 0.05, 0.01], delta=1.0, circuit=relabelled)
+    assert not report.b_signal_via_e
+    assert report.discontinuous
 
 
 def _u2(alpha, theta, phi, chi):

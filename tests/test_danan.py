@@ -280,6 +280,11 @@ def test_simulate_traces_validation():
         MirrorSchedule((
             Mirror("M1", "A", 5.0, 1e-2), Mirror("M2", "B", 5.0, 1e-2),
         ))  # duplicate frequencies
+    with pytest.raises(ValueError, match="names"):
+        # the line tables are keyed by name, so one of these lines would be lost
+        MirrorSchedule((
+            Mirror("M", "A", 3.0, 1e-2), Mirror("M", "B", 5.0, 1e-2),
+        ))
     with pytest.raises(ValueError):
         Mirror("M1", "E", 5.0, 1e-2)  # mirrors sit in A, B or C only
     for frequency, amplitude in ((5.0, float("nan")), (5.0, float("inf")),

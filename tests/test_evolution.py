@@ -109,6 +109,23 @@ def test_pipeline_layout_checks():
         PathSum.compile(circuit, PhotonState.source(), upto=5)
 
 
+def test_routes_of_the_nested_interferometer():
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source())
+    assert sorted(paths.routes) == sorted([
+        ("N", "A", "D1"), ("N", "A", "D2"),
+        ("N", "D", "B", "D3"), ("N", "D", "B", "E", "D1"), ("N", "D", "B", "E", "D2"),
+        ("N", "D", "C", "D3"), ("N", "D", "C", "E", "D1"), ("N", "D", "C", "E", "D2"),
+    ])
+    assert paths.arms == tuple(route[-1] for route in paths.routes)
+    for route, amplitude in zip(paths.routes, paths.amplitudes):
+        # each step enters an arm at the stage that produces it
+        expected = 1.0
+        for before, after in zip(route, route[1:]):
+            u = oracles.STAGE_MATRICES[oracles.ARM_STAGE[after] - 1]
+            expected *= u[oracles.IDX[after], oracles.IDX[before]]
+        assert abs(amplitude - expected) < 1e-15, route
+
+
 def test_pipeline_without_attachments_matches_pure_evolution():
     circuit = build_nested_mzi()
     paths = PathSum.compile(circuit, PhotonState.source(), [])
