@@ -46,11 +46,9 @@ from .criteria import (
 from .danan import (
     Mirror,
     MirrorSchedule,
-    ModeComparison,
     TraceResult,
     default_schedule,
     power_spectrum,
-    readout_mode_compare,
     simulate_traces,
     sinusoid_amplitude,
 )

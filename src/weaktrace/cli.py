@@ -14,10 +14,10 @@ One writer streams the lines, so danan's trace adds only one chunk of rows
 to the memory its arrays take. ``--json`` writes one document with the
 same ``meta`` and the same rows as records keyed by the CSV header:
 weak-values and mean-values key them by arm, sweep and discontinuity list
-them. danan's document holds its peak tables, ``times`` and ``series``.
-Zeros print unsigned. Reruns with identical configuration and seed produce
-byte-identical bytes. Exit codes: 0 success, 2 invalid configuration, 3 no
-postselected events.
+them. danan's document holds its peak tables (its trace's ``lines``),
+``times`` and ``series``. Zeros print unsigned. Reruns with identical
+configuration and seed produce byte-identical bytes. Exit codes: 0
+success, 2 invalid configuration, 3 no postselected events.
 
 CSV column orders
 -----------------
@@ -26,7 +26,7 @@ mean-values:    arm, g, pointer_mean, ratio, limit
 sweep:          g, ratio[, mc_estimate, mc_stderr]
 discontinuity:  g, e_occupation, pointer_ratio, analogy_ratio
 danan trace:    t, D1_mean, D1_prob, D2_mean, D2_prob, D3_mean, D3_prob,
-                outer_mean, outer_prob
+                outer_mean, outer_prob (the order of ``TraceResult.series``)
 danan spectrum: f, then power per series in the same order (--spectrum)
 """
 
@@ -47,7 +47,7 @@ from .criteria import (
     weak_value_operational,
     weak_value_tsvf,
 )
-from .danan import OUTER, default_schedule, readout_mode_compare
+from .danan import OUTER, default_schedule, simulate_traces
 from .meter import NoPostselectedEventsError
 from .paths import DETECTORS
 
@@ -175,21 +175,18 @@ def cmd_danan(args: argparse.Namespace) -> int:
     freqs = _parse_floats(args.freqs)
     enabled = tuple(tok.strip() for tok in args.mirrors.split(",") if tok.strip())
     schedule = default_schedule(args.g, tuple(freqs), enabled)
-    comparison = readout_mode_compare(schedule, args.duration, args.rate, args.delta)
-    trace = comparison.trace
-
     read = args.read if args.read else ("D2" if args.mode == "weakvalue" else "D3")
-    if read not in ("D1", "D2", "D3", "outer"):
+    if read not in (*DETECTORS, OUTER):
         raise ValueError(f"--read must be D1, D2, D3 or outer, got {read!r}")
-    lines = comparison.lines
-    peaks = lines[f"{read}_mean"]
+    trace = simulate_traces(schedule, args.duration, args.rate, args.delta)
+    lines = trace.lines
 
     meta = _meta("danan", mode=args.mode, mirrors=",".join(enabled), read=read,
                  g0=_fmt(args.g), delta=_fmt(args.delta), duration=_fmt(args.duration),
                  sample_rate=_fmt(args.rate), frequencies=",".join(_fmt(f) for f in freqs))
-    meta.update((f"peak_{mirror}", _fmt(amp)) for mirror, amp in sorted(peaks.items()))
+    meta.update((f"peak_{m}", _fmt(amp)) for m, amp in sorted(lines[f"{read}_mean"].items()))
 
-    order = [f"{det}_{q}" for det in (*DETECTORS, OUTER) for q in ("mean", "prob")]
+    order = list(trace.series)
     if args.json:
         return _write_json({
             "meta": meta,

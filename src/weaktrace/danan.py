@@ -8,8 +8,9 @@ so each time sample is an independent static setup with its own coupling
 vector. The layout is the same at every sample, so the interferometer is
 compiled once into a path sum and all samples are evaluated as one batch
 of coupling vectors; per detector the arrival probability and the
-conditional pointer mean are recorded, and power spectra identify which
-mirror frequencies show up where.
+conditional pointer mean are recorded. One rfft per series gives its
+power spectrum and, for the conditional means, the line of every mirror
+frequency, so the trace itself says which mirrors show up where.
 
 Two readout modes are compared. Weak-value mode reads the conditional
 pointer mean at D2: every vibrating mirror leaves a line there, with
@@ -21,14 +22,14 @@ outer region) carries no inner-arm line at linear order. The two outer
 ports taken *separately* do each show an f2 line of size ~g0/2 with
 opposite signs - a BS4 interference effect fed by the measurement-induced
 dark-port leakage - which is why the pooled series, not the per-port
-ones, is the mean-mode outer readout. One line table per conditional-mean
-series holds all of these; a readout picks its series from it.
+ones, is the mean-mode outer readout. ``TraceResult.lines`` holds one line
+table per conditional-mean series; a readout picks its series from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,7 @@ OUTER = "outer"
 _MIRROR_ARMS = {"M1": "A", "M2": "B", "M3": "C"}
 
 #: Largest sample count ``simulate_traces`` accepts. Its arrays take about
-#: 240 bytes per sample, so the cap stays near 4 GB, and a larger count is
+#: 220 bytes per sample, so the cap stays near 4 GB, and a larger count is
 #: rejected before anything is allocated.
 MAX_SAMPLES = 1 << 24
 
@@ -88,14 +89,16 @@ def default_schedule(
     """M1/M2/M3 on arms A/B/C at bin-friendly integer frequencies.
 
     All three mirrors are built and checked, and only those named in
-    ``enabled`` are kept. A frequency count other than three or an unknown
-    name raises ValueError.
+    ``enabled`` are kept. A frequency count other than three, an unknown
+    name or a repeated one raises ValueError.
     """
     if len(frequencies) != 3:
         raise ValueError(f"need exactly three frequencies (M1, M2, M3), got {len(frequencies)}")
     for name in enabled:
         if name not in _MIRROR_ARMS:
             raise ValueError(f"unknown mirror {name!r}; expected M1, M2 or M3")
+    if len(set(enabled)) != len(enabled):
+        raise ValueError(f"mirror names must be pairwise distinct, got {','.join(enabled)}")
     mirrors = [Mirror(name, arm, f, g0)
                for (name, arm), f in zip(_MIRROR_ARMS.items(), frequencies)]
     return MirrorSchedule(tuple(m for m in mirrors if m.name in enabled))
@@ -103,17 +106,56 @@ def default_schedule(
 
 @dataclass(frozen=True)
 class TraceResult:
-    """Time-sampled detector signals plus their power spectra.
+    """Time-sampled detector signals, their power spectra and their line tables.
 
     ``series`` maps "<det>_mean" / "<det>_prob" (det in D1, D2, D3, outer)
     to arrays over the time grid; ``spectra`` maps the same keys to
-    (frequency, power) pairs from the one-sided periodogram.
+    (frequency, power) pairs from the one-sided periodogram, all sharing one
+    frequency array.
+
+    ``lines`` maps D1_mean, D2_mean, D3_mean and outer_mean to {mirror
+    name: amplitude}. Weak-value mode reads D2_mean; mean-value mode reads
+    D3_mean and the pooled outer_mean. The per-port D1_mean and D2_mean
+    lines of the inner arms are equal and opposite: interference
+    diagnostics, not part of the mean-mode readout. Only lines above
+    ``floor`` = g0_max min(g0_max/sqrt(delta), 1/8), with g0_max the largest
+    |amplitude| of the schedule, are listed, so with no mirror vibrating
+    every table is empty. The lines depend on g0 and delta only through
+    g0/sqrt(delta), up to an overall factor g0, and so does the floor.
+    Present lines scale as g0 Re(weak value) and absent ones as
+    g0^3/delta, and the floor lies between the two for g0_max/sqrt(delta)
+    up to about 1. Above that no floor separates them: at g0 = 2,
+    delta = 1, D1's M2 line (0.117) is below the absent outer M2 line
+    (0.157).
     """
 
     times: np.ndarray
     sample_rate: float
     series: dict[str, np.ndarray]
-    spectra: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    spectra: dict[str, tuple[np.ndarray, np.ndarray]]
+    floor: float
+    lines: dict[str, dict[str, float]]
+
+
+def _transform(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rfft of a series of at least 16 samples and its power, checked finite."""
+    if x.size < 16:
+        raise ValueError(f"series too short for a spectrum: {x.size} < 16 samples")
+    with np.errstate(over="ignore", invalid="ignore"):
+        transform = np.fft.rfft(x)
+        power = np.abs(transform) ** 2
+    if not np.isfinite(power).all():
+        raise ValueError("power spectrum is out of double range")
+    return transform, power
+
+
+def _line_bin(frequency: float, n: int, sample_rate: float) -> int:
+    """The interior DFT bin of ``frequency`` in ``n`` samples; ValueError if none."""
+    bin_index = frequency * n / sample_rate
+    k = round(bin_index)
+    if abs(bin_index - k) > 1e-9 or not 0 < k < n / 2:
+        raise ValueError(f"frequency {frequency} is not an interior DFT bin")
+    return k
 
 
 def power_spectrum(series, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,23 +167,13 @@ def power_spectrum(series, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     is not finite in double precision raises ValueError.
     """
     x = np.asarray(series, dtype=float)
-    if x.size < 16:
-        raise ValueError(f"series too short for a spectrum: {x.size} < 16 samples")
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.abs(np.fft.rfft(x)) ** 2
-    if not np.isfinite(power).all():
-        raise ValueError("power spectrum is out of double range")
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / sample_rate)
-    return freqs, power
+    return np.fft.rfftfreq(x.size, d=1.0 / sample_rate), _transform(x)[1]
 
 
 def sinusoid_amplitude(series, sample_rate: float, frequency: float) -> float:
     """Amplitude of the bin-aligned sinusoidal component at ``frequency``."""
     x = np.asarray(series, dtype=float)
-    bin_index = frequency * x.size / sample_rate
-    k = round(bin_index)
-    if abs(bin_index - k) > 1e-9 or not 0 < k < x.size / 2:
-        raise ValueError(f"frequency {frequency} is not an interior DFT bin")
+    k = _line_bin(frequency, x.size, sample_rate)
     return 2.0 * abs(np.fft.rfft(x)[k]) / x.size
 
 
@@ -158,6 +190,8 @@ def simulate_traces(
     all feeding one shared pointer; one batched evaluation of the compiled
     path sum then yields, per detector and sample, the arrival probability
     and conditional pointer mean, plus the pooled outer-port pair of series.
+    One rfft per series gives its power spectrum and, for the conditional
+    means, each mirror's line 2|X[k]|/n; all spectra are range-checked before any bin.
     The circuit must have the detectors of ``DETECTORS``; ValueError otherwise.
     """
     circuit = NESTED_MZI if circuit is None else circuit
@@ -181,7 +215,7 @@ def simulate_traces(
         [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
     ).reshape(len(mirrors), n).T
     # moments past double range overflow to inf or NaN here without a warning;
-    # their spectra are then rejected by power_spectrum
+    # their spectra are then rejected as out of double range
     with np.errstate(over="ignore", invalid="ignore"):
         stats = paths.statistics(couplings, DETECTORS)
 
@@ -201,51 +235,21 @@ def simulate_traces(
             outer_moment, outer_prob, out=np.zeros(n), where=outer_prob > NORM2_FLOOR
         )
         series[f"{OUTER}_prob"] = outer_prob
+    del stats, couplings  # freed, so the transforms below do not raise the memory peak
 
-    spectra = {k: power_spectrum(v, sample_rate) for k, v in series.items()}
-    return TraceResult(times, sample_rate, series, spectra)
-
-
-@dataclass(frozen=True)
-class ModeComparison:
-    """One line table per conditional-mean series, for both readout modes.
-
-    ``lines`` maps D1_mean, D2_mean, D3_mean and outer_mean to {mirror
-    name: amplitude}. Weak-value mode reads D2_mean; mean-value mode reads
-    D3_mean and the pooled outer_mean. The per-port D1_mean and D2_mean
-    lines of the inner arms are equal and opposite: interference
-    diagnostics, not part of the mean-mode readout. Only lines above
-    ``floor`` = g0_max min(g0_max/sqrt(delta), 1/8) are listed, so with no
-    mirror vibrating every table is empty. The lines depend on g0 and
-    delta only through g0/sqrt(delta), up to an overall factor g0, and so
-    does the floor. Present lines scale as g0 Re(weak value) and absent
-    ones as g0^3/delta, and the floor lies between the two for
-    g0_max/sqrt(delta) up to about 1. Above that no floor separates them:
-    at g0 = 2, delta = 1, D1's M2 line (0.117) is below the absent outer
-    M2 line (0.157).
-    """
-
-    g0_max: float
-    floor: float
-    lines: dict[str, dict[str, float]]
-    trace: TraceResult
-
-
-def readout_mode_compare(
-    schedule: MirrorSchedule,
-    duration: float,
-    sample_rate: float,
-    delta: float,
-    circuit: Circuit | None = None,
-) -> ModeComparison:
-    """Weak-value readout (D2 line spectrum) vs mean-value readout (D3 + pooled outer)."""
-    trace = simulate_traces(schedule, duration, sample_rate, delta, circuit)
-    g0_max = max((abs(m.amplitude) for m in schedule.mirrors), default=0.0)
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    spectra, transforms = {}, {}
+    for key, values in series.items():
+        transform, power = _transform(values)
+        spectra[key] = (freqs, power)
+        if key.endswith("_mean"):
+            transforms[key] = transform
+    g0_max = max((abs(m.amplitude) for m in mirrors), default=0.0)
     # scales with g0_max at fixed g0_max/sqrt(delta), as every line does
     floor = g0_max * min(g0_max / math.sqrt(delta), 0.125)
+    bins = {m.name: _line_bin(m.frequency, n, sample_rate) for m in mirrors}
     lines = {}
-    for key in (f"{det}_mean" for det in (*DETECTORS, OUTER)):
-        amps = {m.name: sinusoid_amplitude(trace.series[key], sample_rate, m.frequency)
-                for m in schedule.mirrors}
+    for key, transform in transforms.items():
+        amps = {name: 2.0 * abs(transform[k]) / n for name, k in bins.items()}
         lines[key] = {name: amp for name, amp in amps.items() if amp > floor}
-    return ModeComparison(g0_max, floor, lines, trace)
+    return TraceResult(times, sample_rate, series, spectra, floor, lines)

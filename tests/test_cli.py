@@ -341,6 +341,18 @@ def test_extreme_scales_warn_nothing(capsys):
         assert len(err.splitlines()) == 1
 
 
+def test_danan_read_checked_before_simulating(capsys, monkeypatch):
+    # a bad --read exits 2 before any trace is built: this one would take about 4 GB
+    def no_trace(*args, **kwargs):
+        raise AssertionError("simulate_traces ran")
+
+    monkeypatch.setattr("weaktrace.cli.simulate_traces", no_trace)
+    code, out, err = run_cli(capsys, "danan", "--read", "E", "--rate", "4096",
+                             "--duration", "4096")
+    assert (code, out) == (2, "")
+    assert err == "weaktrace: invalid configuration: --read must be D1, D2, D3 or outer, got 'E'\n"
+
+
 def test_invalid_seed_env_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("WEAKTRACE_SEED", "abc")
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
-"""Vibrating-mirror traces, spectra and readout-mode comparison."""
+"""Vibrating-mirror traces, spectra and the line tables of both readout modes."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from weaktrace import (
     MirrorSchedule,
     default_schedule,
     power_spectrum,
-    readout_mode_compare,
     simulate_traces,
     sinusoid_amplitude,
 )
@@ -92,8 +92,8 @@ def test_m2_only_spectrum_normalization():
 
 
 def test_weak_value_mode_peak_ratios():
-    comparison = readout_mode_compare(default_schedule(1e-2), DURATION, RATE, DELTA)
-    peaks = comparison.lines["D2_mean"]
+    trace = simulate_traces(default_schedule(1e-2), DURATION, RATE, DELTA)
+    peaks = trace.lines["D2_mean"]
     assert set(peaks) == {"M1", "M2", "M3"}
     assert peaks["M1"] / peaks["M2"] == pytest.approx(2.0, rel=0.02)
     assert peaks["M1"] / peaks["M3"] == pytest.approx(2.0, rel=0.02)
@@ -101,59 +101,53 @@ def test_weak_value_mode_peak_ratios():
 
 def test_mean_mode_m2_only_all_signal_at_d3():
     g0 = 1e-2
-    comparison = readout_mode_compare(
-        default_schedule(g0, enabled=("M2",)), DURATION, RATE, DELTA
-    )
-    assert set(comparison.lines["D3_mean"]) == {"M2"}
-    assert comparison.lines["D3_mean"]["M2"] == pytest.approx(g0 / 2, rel=1e-9)
+    trace = simulate_traces(default_schedule(g0, enabled=("M2",)), DURATION, RATE, DELTA)
+    assert set(trace.lines["D3_mean"]) == {"M2"}
+    assert trace.lines["D3_mean"]["M2"] == pytest.approx(g0 / 2, rel=1e-9)
     # the weak-value readout at D2 still shows the f2 line, as in the
     # postselected experiment
-    assert comparison.lines["D2_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
+    assert trace.lines["D2_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
     # pooled outer output: nothing above the quadratic floor
-    assert comparison.lines["outer_mean"] == {}
-    outer_amp = sinusoid_amplitude(comparison.trace.series["outer_mean"], RATE, 5.0)
+    assert trace.lines["outer_mean"] == {}
+    outer_amp = sinusoid_amplitude(trace.series["outer_mean"], RATE, 5.0)
     assert outer_amp < g0**2
     # the per-port conditional means do show the interference line ~ g0/2
-    assert comparison.lines["D1_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
+    assert trace.lines["D1_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
 
 
 def test_mean_mode_m1_signal_at_outer_not_d3():
     g0, f1 = 1e-2, 3.0
-    comparison = readout_mode_compare(
-        default_schedule(g0, enabled=("M1",)), DURATION, RATE, DELTA
-    )
-    assert comparison.lines["outer_mean"]["M1"] == pytest.approx(g0, rel=1e-9)
-    assert comparison.lines["D3_mean"] == {}
-    assert np.max(np.abs(comparison.trace.series["D3_mean"])) < 1e-12
+    trace = simulate_traces(default_schedule(g0, enabled=("M1",)), DURATION, RATE, DELTA)
+    assert trace.lines["outer_mean"]["M1"] == pytest.approx(g0, rel=1e-9)
+    assert trace.lines["D3_mean"] == {}
+    assert np.max(np.abs(trace.series["D3_mean"])) < 1e-12
 
 
 def test_linearity_peaks_scale_with_g0():
-    base = readout_mode_compare(default_schedule(1e-2), DURATION, RATE, DELTA)
-    half = readout_mode_compare(default_schedule(5e-3), DURATION, RATE, DELTA)
+    base = simulate_traces(default_schedule(1e-2), DURATION, RATE, DELTA)
+    half = simulate_traces(default_schedule(5e-3), DURATION, RATE, DELTA)
     for series in ("D2_mean", "D3_mean"):
         for mirror, amp in base.lines[series].items():
             assert half.lines[series][mirror] == pytest.approx(amp / 2, rel=0.01)
 
 
 def test_mode_compare_all_off_empty_tables():
-    comparison = readout_mode_compare(
-        default_schedule(1e-2, enabled=()), DURATION, RATE, DELTA
-    )
-    assert comparison.lines == {"D1_mean": {}, "D2_mean": {}, "D3_mean": {}, "outer_mean": {}}
+    trace = simulate_traces(default_schedule(1e-2, enabled=()), DURATION, RATE, DELTA)
+    assert trace.lines == {"D1_mean": {}, "D2_mean": {}, "D3_mean": {}, "outer_mean": {}}
 
 
 @pytest.mark.parametrize("g0", [0.5, 1.0])
 def test_line_floor_separates_lines_up_to_g0_1(g0):
     # present lines scale as g0 Re(w), absent ones as g0^3; at g0 = 1 D1's
     # M2 line (0.215) is below g0^2 / (4 g0) = 0.25 but above g0 / 8
-    comparison = readout_mode_compare(default_schedule(g0), DURATION, 64.0, DELTA)
-    assert comparison.floor == pytest.approx(g0 / 8, rel=1e-15)
-    assert set(comparison.lines["D2_mean"]) == {"M1", "M2", "M3"}
-    assert set(comparison.lines["D1_mean"]) == {"M1", "M2", "M3"}
-    assert set(comparison.lines["D3_mean"]) == {"M2", "M3"}
-    assert set(comparison.lines["outer_mean"]) == {"M1"}
+    trace = simulate_traces(default_schedule(g0), DURATION, 64.0, DELTA)
+    assert trace.floor == pytest.approx(g0 / 8, rel=1e-15)
+    assert set(trace.lines["D2_mean"]) == {"M1", "M2", "M3"}
+    assert set(trace.lines["D1_mean"]) == {"M1", "M2", "M3"}
+    assert set(trace.lines["D3_mean"]) == {"M2", "M3"}
+    assert set(trace.lines["outer_mean"]) == {"M1"}
     # D3's mean-mode lines are g0/2 exactly at every g0
-    for amp in comparison.lines["D3_mean"].values():
+    for amp in trace.lines["D3_mean"].values():
         assert amp == pytest.approx(g0 / 2, rel=1e-9)
 
 
@@ -163,8 +157,8 @@ def test_line_floor_separates_lines_up_to_g0_1(g0):
 def test_line_tables_scale_covariant(g0, delta, k):
     # the lines depend on (g0, delta) only through g0/sqrt(delta), up to a
     # factor g0, so (2^k g0, 4^k delta) lists the same lines 2^k times as large
-    base = readout_mode_compare(default_schedule(g0), DURATION, 64.0, delta)
-    scaled = readout_mode_compare(
+    base = simulate_traces(default_schedule(g0), DURATION, 64.0, delta)
+    scaled = simulate_traces(
         default_schedule(math.ldexp(g0, k)), DURATION, 64.0, math.ldexp(delta, 2 * k)
     )
     assert scaled.floor == math.ldexp(base.floor, k)
@@ -199,6 +193,38 @@ def test_single_mirror_lines_match_bessel_oracle(arm, detector, f, ratio, delta)
             assert abs(line - amplitude) <= bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(enabled=st.lists(st.sampled_from(("M1", "M2", "M3")), unique=True, max_size=3),
+       freqs=st.lists(st.integers(1, 7), min_size=3, max_size=3, unique=True),
+       rate=st.integers(16, 128), g0=st.floats(1e-200, 100.0), negative=st.booleans(),
+       delta=st.floats(1e-4, 1e4))
+@example(enabled=[], freqs=[3, 5, 7], rate=16, g0=1e-2, negative=False, delta=1.0)
+@example(enabled=["M1", "M2", "M3"], freqs=[3, 5, 7], rate=64, g0=0.5, negative=True, delta=1.0)
+def test_one_transform_per_series_gives_spectra_and_lines(enabled, freqs, rate, g0, negative,
+                                                          delta):
+    # every f <= 7 is an interior bin of a one-unit run at rate >= 16
+    schedule = default_schedule(-g0 if negative else g0, tuple(map(float, freqs)),
+                                tuple(enabled))
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        trace = simulate_traces(schedule, DURATION, float(rate), delta)
+    assert rfft.call_count == 8
+    g0_max = g0 if enabled else 0.0
+    assert trace.floor == g0_max * min(g0_max / math.sqrt(delta), 0.125)
+    bins = np.fft.rfftfreq(rate, 1.0 / rate)
+    for key, (f, power) in trace.spectra.items():
+        assert f is trace.spectra["D1_mean"][0]
+        assert np.array_equal(power, power_spectrum(trace.series[key], rate)[1])
+    assert np.array_equal(trace.spectra["D1_mean"][0], bins)
+    assert list(trace.lines) == ["D1_mean", "D2_mean", "D3_mean", "outer_mean"]
+    for key, lines in trace.lines.items():
+        for m in schedule.mirrors:
+            amp = sinusoid_amplitude(trace.series[key], rate, m.frequency)
+            if m.name in lines:
+                assert lines[m.name] == amp
+            else:
+                assert amp <= trace.floor
+
+
 def test_power_spectrum_pure_and_mixed_sinusoids():
     rate, n = 64.0, 256
     t = np.arange(n) / rate
@@ -228,7 +254,12 @@ def test_power_spectrum_out_of_double_range():
         power_spectrum(np.full(16, np.inf), 16.0)
     for g in (1e160, 1e300, 1.7e308):
         with pytest.raises(ValueError, match="double range"):
-            readout_mode_compare(default_schedule(g), DURATION, RATE, DELTA)
+            simulate_traces(default_schedule(g), DURATION, RATE, DELTA)
+    # every spectrum is checked before any mirror frequency is checked against the bins
+    with pytest.raises(ValueError, match="double range"):
+        simulate_traces(default_schedule(1e300, (3.5, 5.0, 7.0)), DURATION, 64.0, DELTA)
+    with pytest.raises(ValueError, match="frequency 3.5 is not an interior DFT bin"):
+        simulate_traces(default_schedule(1e-2, (3.5, 5.0, 7.0)), DURATION, 64.0, DELTA)
 
 
 def test_sample_count_rejected_before_allocation(monkeypatch):
@@ -254,6 +285,9 @@ def test_default_schedule_checks_its_arguments():
     # every mirror is checked, the ones that do not vibrate too
     with pytest.raises(ValueError, match="M1"):
         default_schedule(1e-2, (-3.0, 5.0, 7.0), enabled=("M2",))
+    # a repeated name would run one mirror and report it as if it were two
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        default_schedule(1e-2, enabled=("M1", "M1"))
     schedule = default_schedule(1e-2, enabled=("M3", "M2"))
     assert schedule.mirrors == (Mirror("M2", "B", 5.0, 1e-2), Mirror("M3", "C", 7.0, 1e-2))
 
