@@ -20,13 +20,7 @@ from .meter import (
     wave_norm2,
     wave_pointer_mean,
 )
-from .evolution import (
-    EntangledMetersError,
-    MeterAttachment,
-    PathSum,
-    PostselectResult,
-    arm_occupation,
-)
+from .evolution import PathSum, arm_occupation
 from .criteria import (
     DiscontinuityReport,
     DiscontinuityRow,

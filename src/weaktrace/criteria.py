@@ -12,10 +12,10 @@ which equals g times the plain projector expectation at the arm's stage,
 exactly, at every coupling strength; its g -> 0 limit is continuous.
 
 Both are read off compiled ``PathSum``s, whose paths carry their routes.
-A meter kicks every path that passes through its arm. The weak value is
-the summed amplitude of the detector-bound routes through the arm over
-that of all detector-bound paths; pointer means, postselection and arm
-occupations come from the sum's merged terms and Gram statistics.
+The probe on an arm kicks every path that passes through it. The weak
+value is the summed amplitude of the detector-bound routes through the
+arm over that of all detector-bound paths; pointer means, postselection
+and arm occupations come from the sum's merged terms and Gram statistics.
 ``weak_value_tsvf`` pairs two path sums at the cut where the probed arm
 becomes live: the forward ket of the circuit up to the cut and the
 backward ket of the detector through the circuit's adjoint back to it.
@@ -30,8 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MeterAttachment, PathSum, arm_occupation
-from .meter import NORM2_FLOOR, MeterConfig, NoPostselectedEventsError, _readout_moments
+from .evolution import PathSum, arm_occupation
+from .meter import (
+    NORM2_FLOOR,
+    MeterConfig,
+    NoPostselectedEventsError,
+    _readout_moments,
+    wave_norm2,
+)
 from .paths import NESTED_MZI, Circuit, PhotonState
 
 _DENOM_FLOOR = 1e-15
@@ -50,11 +56,6 @@ def _default_circuit(circuit: Circuit | None) -> Circuit:
 
 def _default_input(state: PhotonState | None) -> PhotonState:
     return PhotonState.source() if state is None else state
-
-
-def _probe(arm: str, delta: float) -> list[MeterAttachment]:
-    """The one-meter layout: meter "probe" kicks every path through ``arm``."""
-    return [MeterAttachment("probe", arm, MeterConfig(delta))]
 
 
 def _coupling_grid(values, noun: str) -> list[float]:
@@ -192,14 +193,15 @@ def weak_value_operational(
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
     circuit.require_detector(detector)
-    paths = PathSum.compile(circuit, in_state, _probe(arm, delta))
-    prob, moment = paths.statistics([[g] for g in g_list], (detector,))[detector]
+    config = MeterConfig(delta)
+    paths = PathSum.compile(circuit, in_state, (arm,))
+    prob, moment = paths.statistics([[g] for g in g_list], (detector,), config)[detector]
     for g, p in zip(g_list, prob):
         if p <= NORM2_FLOOR:
             raise NoPostselectedEventsError(
                 f"postselection on {detector} has zero probability at g={g}"
             )
-    estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment[:, 0])]
+    estimates = [(g, float(m / p) / g) for g, p, m in zip(g_list, prob, moment)]
     limit = extrapolate_even_limit(*zip(*estimates))
     analytic = _path_weak_value(paths, arm, detector)
     return WeakValueRecord(arm, detector, analytic, tuple(estimates), limit)
@@ -240,22 +242,27 @@ def monte_carlo_weak_value(
     memory is O(chunk) for any ``n`` and the standard error stays accurate
     when the mean is large against the spread. An estimate or (for more
     than one postselected trial) a standard error that is not finite in
-    double precision raises ValueError.
+    double precision raises ValueError, and so does g = 0, where mean/g is
+    undefined. A negative g divides the standard error by |g|.
     """
     if not 1 <= n <= _MAX_TRIALS:
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
+    if g == 0:
+        raise ValueError("the pointer ratio mean/g is undefined at g = 0")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    sel = PathSum.compile(circuit, in_state, _probe(arm, delta)).postselect([g], detector)
-    if sel.probability <= NORM2_FLOOR:
+    config = MeterConfig(delta)
+    wave = PathSum.compile(circuit, in_state, (arm,)).postselect([g], detector, config)
+    probability = wave_norm2(wave)
+    if probability <= NORM2_FLOOR:
         raise NoPostselectedEventsError(f"postselection on {detector} has zero probability")
     rng = np.random.default_rng(seed)
-    n_sel = int(rng.binomial(n, min(sel.probability, 1.0)))
+    n_sel = int(rng.binomial(n, min(probability, 1.0)))
     if n_sel == 0:
         raise NoPostselectedEventsError(f"no successful postselections in {n} trials")
-    _, mean, m2 = _readout_moments(sel.meter_waves[0], n_sel, rng)
+    _, mean, m2 = _readout_moments(wave, n_sel, rng)
     value = mean / g
-    stderr = math.sqrt(m2 / (n_sel - 1) / n_sel) / g if n_sel > 1 else float("nan")
+    stderr = math.sqrt(m2 / (n_sel - 1) / n_sel) / abs(g) if n_sel > 1 else float("nan")
     if not (math.isfinite(value) and (math.isfinite(stderr) or n_sel == 1)):
         raise ValueError(f"Monte Carlo estimate at g={g}, delta={delta} is out of double range")
     return MonteCarloEstimate(value, stderr, g, n, n_sel)
@@ -289,12 +296,13 @@ def weak_mean_value(
         raise ValueError("coupling strength must be nonnegative")
     circuit = _default_circuit(circuit)
     in_state = _default_input(in_state)
-    stats = PathSum.compile(circuit, in_state, _probe(arm, delta)).statistics([[g]], None)
+    config = MeterConfig(delta)
+    stats = PathSum.compile(circuit, in_state, (arm,)).statistics([[g]], None, config)
     norm2 = sum(float(prob[0]) for prob, _ in stats.values())
     if norm2 <= NORM2_FLOOR:
         raise NoPostselectedEventsError("state has zero norm")
-    mean = sum(float(moment[0, 0]) for _, moment in stats.values()) / norm2
-    limit = arm_occupation(circuit, in_state, (), (), arm, circuit.live_stages(arm).start)
+    mean = sum(float(moment[0]) for _, moment in stats.values()) / norm2
+    limit = arm_occupation(circuit, in_state, (), (), config, arm, circuit.live_stages(arm).start)
     ratio = mean / g if g > 0 else None
     return MeanValueRecord(arm, g, mean, ratio, limit)
 
@@ -362,13 +370,14 @@ def discontinuity_report(
 
     record = weak_value_operational("B", "D2", g_grid, delta, in_state, circuit)
     slope = record.limit
-    inner = PathSum.compile(circuit, in_state, _probe("B", delta), upto=circuit.live["E"].start)
-    p_e, _ = inner.statistics([[g] for g in g_grid], ("E",))["E"]
+    config = MeterConfig(delta)
+    inner = PathSum.compile(circuit, in_state, ("B",), upto=circuit.live["E"].start)
+    p_e, _ = inner.statistics([[g] for g in g_grid], ("E",), config)["E"]
     rows = tuple(
         DiscontinuityRow(g, float(p), ratio, slope) for (g, ratio), p in zip(record.estimates, p_e)
     )
     # its own batch, so that the undisturbed B and C paths merge and cancel exactly
-    p_e_zero, _ = inner.statistics([[0.0]], ("E",))["E"]
+    p_e_zero, _ = inner.statistics([[0.0]], ("E",), config)["E"]
     zero_row = DiscontinuityRow(0.0, float(p_e_zero[0]), None, None)
 
     # the B meter shifts exactly the D2-bound paths through B, so its whole

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import MeterAttachment, PathSum
+from .evolution import PathSum
 from .meter import NORM2_FLOOR, MeterConfig
 from .paths import DETECTORS, NESTED_MZI, Circuit, PhotonState
 
@@ -171,10 +171,14 @@ def power_spectrum(series, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sinusoid_amplitude(series, sample_rate: float, frequency: float) -> float:
-    """Amplitude of the bin-aligned sinusoidal component at ``frequency``."""
+    """Amplitude of the bin-aligned sinusoidal component at ``frequency``.
+
+    Like ``power_spectrum``, it needs at least 16 samples and raises
+    ValueError when the spectrum is not finite in double precision.
+    """
     x = np.asarray(series, dtype=float)
     k = _line_bin(frequency, x.size, sample_rate)
-    return 2.0 * abs(np.fft.rfft(x)[k]) / x.size
+    return 2.0 * abs(_transform(x)[0][k]) / x.size
 
 
 def simulate_traces(
@@ -209,15 +213,14 @@ def simulate_traces(
         raise ValueError("duration * sample_rate must be an integer of at least 16")
     times = np.arange(n) / sample_rate
     config = MeterConfig(delta)
-    layout = [MeterAttachment("y", m.arm, config) for m in mirrors]
-    paths = PathSum.compile(circuit, PhotonState.source(), layout)
+    paths = PathSum.compile(circuit, PhotonState.source(), [m.arm for m in mirrors])
     couplings = np.array(
         [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
     ).reshape(len(mirrors), n).T
     # moments past double range overflow to inf or NaN here without a warning;
     # their spectra are then rejected as out of double range
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = paths.statistics(couplings, DETECTORS)
+        stats = paths.statistics(couplings, DETECTORS, config)
 
         series = {}
         outer_prob = np.zeros(n)
@@ -225,7 +228,7 @@ def simulate_traces(
         for det in DETECTORS:
             prob, moment = stats[det]
             seen = prob > NORM2_FLOOR
-            moment = np.where(seen, moment[:, 0], 0.0) if mirrors else np.zeros(n)
+            moment = np.where(seen, moment, 0.0)
             series[f"{det}_mean"] = np.divide(moment, prob, out=np.zeros(n), where=seen)
             series[f"{det}_prob"] = prob
             if det != "D3":

@@ -112,45 +112,44 @@ class MeterWave:
         object.__setattr__(self, "shifts", s)
 
 
-def gram_sums(coefficients, shifts, deltas) -> tuple[np.ndarray, np.ndarray]:
-    """Squared norm and first pointer moments of sum_p c_p |G_{s_p}>, batched.
+def gram_sums(coefficients, shifts, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Squared norm and pointer moment of sum_p c_p |G_{s_p}>, batched.
 
-    ``shifts`` has shape (P, B, M): P branches, a batch of B shift sets and
-    M meters with squared widths ``deltas``. The meters' Gaussians multiply,
-    so a pair overlap is the product of per-meter overlaps. Returns the
-    squared norms, shape (B,), and the un-normalized moments norm2 * <Q_m>,
-    shape (B, M). The loop runs over the P(P+1)/2 branch pairs with
-    length-B vectors, so memory stays O(P B M).
+    ``shifts`` has shape (P, B): P branches of one pointer of squared width
+    ``delta``, over a batch of B shift sets. Returns the squared norms and
+    the un-normalized moments norm2 * <Q>, each of shape (B,). The loop
+    runs over the P(P+1)/2 branch pairs with length-B vectors, so memory
+    stays O(P B).
 
     The sums are compensated: with C = sum_p c_p and every overlap written
     as 1 + expm1(...), the norm is |C|^2 + sum_{p<q} 2 Re(conj(c_p) c_q)
-    expm1(-sum_m (d_pqm / 2 sqrt(delta_m))^2). A dark port, where C = 0
-    and the overlaps are 1 - O(g^2), then keeps full relative precision at
-    any small g instead of cancelling to zero.
+    expm1(-(d_pq / 2 sqrt(delta))^2). A dark port, where C = 0 and the
+    overlaps are 1 - O(g^2), then keeps full relative precision at any
+    small g instead of cancelling to zero.
     """
     c = [complex(x) for x in coefficients]
     s = np.asarray(shifts, dtype=float)
     # scaling each distance before squaring keeps a subnormal d^2 out of it
-    inv_2sd = 0.5 / np.sqrt(np.asarray(deltas, dtype=float))
+    inv_2sd = 0.5 / math.sqrt(delta)
     total = sum(c, 0j)
     norm2 = np.full(s.shape[1], abs(total) ** 2)
-    moment = np.zeros(s.shape[1:])
+    moment = np.zeros(s.shape[1])
     for p, cp in enumerate(c):
         moment += (cp.conjugate() * total).real * s[p]
         for q in range(p + 1, len(c)):
             # a scaled distance past double range is an overlap of exactly 0,
             # and expm1(-inf) = -1 gives it: the overflow is not an error
             with np.errstate(over="ignore"):
-                excess = np.expm1(-np.square((s[p] - s[q]) * inv_2sd).sum(axis=-1))  # overlap - 1
+                excess = np.expm1(-np.square((s[p] - s[q]) * inv_2sd))  # overlap - 1
             cross = 2.0 * (cp.conjugate() * c[q]).real
             norm2 += cross * excess
-            moment += (0.5 * cross * excess)[:, None] * (s[p] + s[q])
+            moment += 0.5 * cross * excess * (s[p] + s[q])
     return norm2, moment
 
 
 def _wave_gram(w: MeterWave) -> tuple[float, float]:
-    norm2, moment = gram_sums(w.coefficients, w.shifts.reshape(-1, 1, 1), [w.config.delta])
-    return float(norm2[0]), float(moment[0, 0])
+    norm2, moment = gram_sums(w.coefficients, w.shifts.reshape(-1, 1), w.config.delta)
+    return float(norm2[0]), float(moment[0])
 
 
 def wave_norm2(w: MeterWave) -> float:

@@ -12,7 +12,6 @@ import numpy as np
 from weaktrace import (
     ARMS,
     Circuit,
-    MeterAttachment,
     MeterConfig,
     MeterWave,
     PathSum,
@@ -70,7 +69,9 @@ def test_criterion_01_checkpoint_amplitudes():
 def test_criterion_02_dark_port():
     after_bs3 = PathSum.compile(build_nested_mzi(), PhotonState.source(), (), 3).ket()
     p_e = abs(after_bs3.amplitude("E")) ** 2
-    occ = arm_occupation(build_nested_mzi(), PhotonState.source(), [], [], "E", 3)
+    occ = arm_occupation(
+        build_nested_mzi(), PhotonState.source(), [], [], MeterConfig(1.0), "E", 3
+    )
     report("criterion 2 dark port", p_e < 1e-12 and occ < 1e-12, f"P(E)={p_e:.2e}")
 
 
@@ -128,14 +129,10 @@ def test_criterion_05_discontinuity():
 def test_criterion_06_mean_value_exactness():
     err = 0.0
     for g in (1e-3, 1e-1, 1.0, 2.0):
-        paths = PathSum.compile(
-            build_nested_mzi(),
-            PhotonState.source(),
-            [MeterAttachment("probe", "B", MeterConfig(1.0))],
-        )
+        paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), ["B"])
         # unconditional pointer mean: every photon outcome kept
-        stats = paths.statistics([[g]], None).values()
-        mean = sum(float(m[0, 0]) for _, m in stats) / sum(float(p[0]) for p, _ in stats)
+        stats = paths.statistics([[g]], None, MeterConfig(1.0)).values()
+        mean = sum(float(m[0]) for _, m in stats) / sum(float(p[0]) for p, _ in stats)
         err = max(err, abs(mean / g - 0.25))
     report("criterion 6 exact unconditional mean", err < 1e-12, f"max err {err:.2e}")
 
@@ -208,12 +205,9 @@ def test_criterion_10_property_suites():
         unitary_ok &= abs(out.norm2() - 1.0) < 1e-12
         arm = ("A", "D", "B", "C", "E")[rng.integers(5)]
         g = float(rng.uniform(-2, 2))
-        paths = PathSum.compile(
-            circuit,
-            PhotonState.source(),
-            [MeterAttachment("m", arm, MeterConfig(float(rng.uniform(0.25, 4.0))))],
-        )
-        norm2 = sum(float(p[0]) for p, _ in paths.statistics([[g]], None).values())
+        config = MeterConfig(float(rng.uniform(0.25, 4.0)))
+        paths = PathSum.compile(circuit, PhotonState.source(), [arm])
+        norm2 = sum(float(p[0]) for p, _ in paths.statistics([[g]], None, config).values())
         unitary_ok &= abs(norm2 - 1.0) < 1e-12
 
     # postselection completeness
@@ -221,12 +215,9 @@ def test_criterion_10_property_suites():
     for _ in range(100):
         arm = ("A", "D", "B", "C", "E")[rng.integers(5)]
         g = float(rng.uniform(0, 2))
-        paths = PathSum.compile(
-            circuit,
-            PhotonState.source(),
-            [MeterAttachment("m", arm, MeterConfig(float(rng.uniform(0.25, 4.0))))],
-        )
-        total = sum(paths.postselect([g], d).probability for d in ("D1", "D2", "D3"))
+        config = MeterConfig(float(rng.uniform(0.25, 4.0)))
+        paths = PathSum.compile(circuit, PhotonState.source(), [arm])
+        total = sum(wave_norm2(paths.postselect([g], d, config)) for d in ("D1", "D2", "D3"))
         complete_ok &= abs(total - 1.0) < 1e-12
 
     # translation covariance and quadrature agreement

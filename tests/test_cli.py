@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
-    MeterAttachment,
     MeterConfig,
     PathSum,
     PhotonState,
     build_nested_mzi,
+    wave_norm2,
 )
 from weaktrace.cli import main
 
@@ -364,12 +364,8 @@ def test_invalid_seed_env_exit_code(capsys, monkeypatch):
 def test_no_postselected_events_exit_code(capsys):
     # find a seed whose single trial fails to postselect; the protocol then
     # has no events and the command must exit 3
-    paths = PathSum.compile(
-        build_nested_mzi(),
-        PhotonState.source(),
-        [MeterAttachment("probe", "B", MeterConfig(1.0))],
-    )
-    p = paths.postselect([0.5], "D2").probability
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), ["B"])
+    p = wave_norm2(paths.postselect([0.5], "D2", MeterConfig(1.0)))
     seed = next(s for s in range(100) if np.random.default_rng(s).binomial(1, p) == 0)
     code, _, err = run_cli(
         capsys, "sweep", "--arm", "B", "--g-grid", "0.5", "--mc-n", "1",

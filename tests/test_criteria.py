@@ -14,7 +14,6 @@ from weaktrace import (
     ARMS,
     BeamSplitter,
     Circuit,
-    MeterAttachment,
     MeterConfig,
     NESTED_MZI,
     NoPostselectedEventsError,
@@ -28,6 +27,7 @@ from weaktrace import (
     extrapolate_even_limit,
     monte_carlo_weak_value,
     tsvf_backward_state,
+    wave_norm2,
     weak_mean_value,
     weak_value_analytic,
     weak_value_operational,
@@ -254,13 +254,19 @@ def test_monte_carlo_trial_count_range():
             monte_carlo_weak_value("B", "D2", g=0.2, delta=1.0, n=n, seed=0)
 
 
+def test_monte_carlo_nonpositive_coupling():
+    # mean/g is undefined at g = 0, as MeanValueRecord.ratio is
+    with pytest.raises(ValueError, match="undefined at g = 0"):
+        monte_carlo_weak_value("B", "D2", g=0.0, delta=1.0, n=1000, seed=0)
+    # a negative g flips the pointer mean and the divisor together, never the stderr
+    est = monte_carlo_weak_value("B", "D2", g=-0.5, delta=1.0, n=100_000, seed=0)
+    assert est.stderr > 0
+    assert abs(est.value - weak_value_analytic("B").real) < 5 * est.stderr
+
+
 def test_monte_carlo_single_trial():
-    paths = PathSum.compile(
-        build_nested_mzi(),
-        PhotonState.source(),
-        [MeterAttachment("probe", "B", MeterConfig(1.0))],
-    )
-    p = paths.postselect([0.2], "D2").probability
+    paths = PathSum.compile(build_nested_mzi(), PhotonState.source(), ["B"])
+    p = wave_norm2(paths.postselect([0.2], "D2", MeterConfig(1.0)))
     seed = next(
         s for s in range(100) if np.random.default_rng(s).binomial(1, p) == 1
     )
@@ -361,16 +367,18 @@ def test_two_stage_mzi_reads_its_own_topology():
     rec = weak_mean_value("B", circuit=TWO_STAGE)
     assert abs(rec.ratio - 0.5) < 1e-12
     assert abs(rec.limit - 0.5) < 1e-12
-    assert abs(arm_occupation(TWO_STAGE, PhotonState.source(), (), (), "B", 1) - 0.5) < 1e-12
+    occ = arm_occupation(TWO_STAGE, PhotonState.source(), (), (), MeterConfig(1.0), "B", 1)
+    assert abs(occ - 0.5) < 1e-12
 
 
 def test_postselect_checks_the_compiled_circuit_detectors():
     paths = PathSum.compile(TWO_STAGE, PhotonState.source(), [])
-    assert abs(paths.postselect([], "D1").probability - 1.0) < 1e-12
+    config = MeterConfig(1.0)
+    assert abs(wave_norm2(paths.postselect([], "D1", config)) - 1.0) < 1e-12
     with pytest.raises(ValueError):  # no D3 in this circuit
-        paths.postselect([], "D3")
+        paths.postselect([], "D3", config)
     with pytest.raises(ValueError):  # D1 is produced by the second stage
-        PathSum.compile(TWO_STAGE, PhotonState.source(), [], upto=1).postselect([], "D1")
+        PathSum.compile(TWO_STAGE, PhotonState.source(), [], upto=1).postselect([], "D1", config)
 
 
 def test_tsvf_unknown_arm_is_value_error():
@@ -473,7 +481,7 @@ def test_random_circuits_against_dense_oracle(drawn, g, delta):
             assert abs(weak_value_analytic(arm, state, detector, circuit) - expected) < tol
             assert abs(weak_value_tsvf(arm, state, detector, circuit) - expected) < tol
     for k in range(len(circuit) + 1):
-        total = sum(arm_occupation(circuit, state, (), (), arm, k)
+        total = sum(arm_occupation(circuit, state, (), (), MeterConfig(delta), arm, k)
                     for arm, live in circuit.live.items() if k in live)
         assert abs(total - 1.0) < 1e-12
     for arm in first:

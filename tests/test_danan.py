@@ -115,6 +115,17 @@ def test_mean_mode_m2_only_all_signal_at_d3():
     assert trace.lines["D1_mean"]["M2"] == pytest.approx(g0 / 2, rel=0.01)
 
 
+def test_two_mirrors_on_one_arm_are_two_columns():
+    # kicks are coupling columns, not arms: each mirror on B keeps its own line
+    p, q = Mirror("P", "B", 3.0, 1e-2), Mirror("Q", "B", 5.0, 1e-2)
+    both = simulate_traces(MirrorSchedule((p, q)), DURATION, RATE, DELTA)
+    for mirror in (p, q):
+        alone = simulate_traces(MirrorSchedule((mirror,)), DURATION, RATE, DELTA)
+        for key in ("D2_mean", "D3_mean"):
+            line = alone.lines[key][mirror.name]
+            assert both.lines[key][mirror.name] == pytest.approx(line, rel=1e-3)
+
+
 def test_mean_mode_m1_signal_at_outer_not_d3():
     g0, f1 = 1e-2, 3.0
     trace = simulate_traces(default_schedule(g0, enabled=("M1",)), DURATION, RATE, DELTA)
@@ -243,6 +254,8 @@ def test_power_spectrum_pure_and_mixed_sinusoids():
 def test_power_spectrum_too_short():
     with pytest.raises(ValueError):
         power_spectrum(np.ones(8), 16.0)
+    with pytest.raises(ValueError, match="too short"):
+        sinusoid_amplitude(np.ones(8), 8.0, 1.0)
 
 
 def test_power_spectrum_out_of_double_range():
@@ -252,6 +265,8 @@ def test_power_spectrum_out_of_double_range():
         power_spectrum(1e300 * np.sin(2 * np.pi * 3 * t), 64.0)
     with pytest.raises(ValueError, match="double range"):
         power_spectrum(np.full(16, np.inf), 16.0)
+    with pytest.raises(ValueError, match="double range"):
+        sinusoid_amplitude(np.full(16, np.inf), 16.0, 3.0)
     for g in (1e160, 1e300, 1.7e308):
         with pytest.raises(ValueError, match="double range"):
             simulate_traces(default_schedule(g), DURATION, RATE, DELTA)

@@ -28,8 +28,8 @@ def make_wave(pairs, delta=1.0):
 
 def pair_sums(a, b, delta):
     """Squared norm 2 + 2 <G_a|G_b> and first moment a + b + 2 <G_a|Q|G_b> of G_a + G_b."""
-    norm2, moment = meter.gram_sums([1.0, 1.0], [[[a]], [[b]]], [delta])
-    return float(norm2[0]), float(moment[0, 0])
+    norm2, moment = meter.gram_sums([1.0, 1.0], [[a], [b]], delta)
+    return float(norm2[0]), float(moment[0])
 
 
 def test_overlap_normalization_and_symmetry():
