@@ -15,7 +15,7 @@ Both are read off compiled ``PathSum``s, whose paths carry their routes.
 The probe on an arm kicks every path that passes through it. The weak
 value is the summed amplitude of the detector-bound routes through the
 arm over that of all detector-bound paths; pointer means, postselection
-and arm occupations come from the sum's merged terms and Gram statistics.
+and arm occupations come from the sum's compiled terms and Gram statistics.
 ``weak_value_tsvf`` pairs two path sums at the cut where the probed arm
 becomes live: the forward ket of the circuit up to the cut and the
 backward ket of the detector through the circuit's adjoint back to it.
@@ -372,13 +372,12 @@ def discontinuity_report(
     slope = record.limit
     config = MeterConfig(delta)
     inner = PathSum.compile(circuit, in_state, ("B",), upto=circuit.live["E"].start)
-    p_e, _ = inner.statistics([[g] for g in g_grid], ("E",), config)["E"]
+    p_e, _ = inner.statistics([[g] for g in (*g_grid, 0.0)], ("E",), config)["E"]
     rows = tuple(
-        DiscontinuityRow(g, float(p), ratio, slope) for (g, ratio), p in zip(record.estimates, p_e)
+        DiscontinuityRow(g, float(p), ratio, slope)
+        for (g, ratio), p in zip(record.estimates, p_e[:-1])
     )
-    # its own batch, so that the undisturbed B and C paths merge and cancel exactly
-    p_e_zero, _ = inner.statistics([[0.0]], ("E",), config)["E"]
-    zero_row = DiscontinuityRow(0.0, float(p_e_zero[0]), None, None)
+    zero_row = DiscontinuityRow(0.0, float(p_e[-1]), None, None)
 
     # the B meter shifts exactly the D2-bound paths through B, so its whole
     # coupled part arrives via E iff those of them that avoid E cancel

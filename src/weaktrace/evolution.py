@@ -12,23 +12,22 @@ anywhere; "weak" enters only when a caller chooses a small g.
 
 ``PathSum.compile`` builds that sum once per circuit, input state, kick
 layout and stage count: the paths (at most 2^4 here), their routes (the
-arms each passes) and amplitudes, and a path x kick incidence matrix: a
-kick reaches every path through its arm. The couplings enter only at
-evaluation, as a batch G of coupling vectors (one row per set of g
-values, one column per kick), so a whole g-sweep or every quasi-static
-sample of a vibrating-mirror trace is one evaluation. Path shifts are G
-times the incidence rows, so kicks add up along each path; probabilities
-and pointer moments come from the closed-form Gram sums of
-``meter.gram_sums`` for the pointer's ``MeterConfig``, which is supplied
-with the couplings. Paths that end in the same arm with exactly equal
-shifts over the batch are merged by ``meter.merge_equal_shifts``, the rule
-every ``MeterWave`` follows: amplitudes are summed and exact cancellations
-drop out, so the undisturbed dark port stays exactly empty. No tolerance
-decides a merge: shifts that differ in any bit stay separate terms,
-however small g is against the pointer width.
+arms each passes) and amplitudes, and the terms of the joint state. A kick
+reaches every path through its arm, so paths of one final arm that cross
+the same kicks (equal 0/1 rows over the kicks) carry equal shifts at every
+coupling; ``compile`` merges them into one term, summing their amplitudes
+in path order and dropping exact cancellations, so the undisturbed dark
+port stays exactly empty. No tolerance decides a merge, and no coupling
+does. Couplings enter only at evaluation, as a batch G of coupling
+vectors (one row per set of g values, one column per kick), so a whole
+g-sweep or every quasi-static sample of a vibrating-mirror trace is one
+evaluation. Term shifts are the rows times G, so kicks add up along each
+path; probabilities and pointer moments come from the closed-form Gram
+sums of ``meter.gram_sums`` for the pointer's ``MeterConfig``, which is
+supplied with the couplings.
 
 The compiled ``PathSum`` is the only joint-state representation: its
-merged terms per arm are the joint state, ``statistics`` reads
+terms per arm are the joint state, ``statistics`` reads
 probabilities and pointer moments from them, and ``postselect`` keeps one
 detector's terms at one coupling vector as the un-normalized conditional
 ``MeterWave``.
@@ -40,27 +39,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meter import MeterConfig, MeterWave, gram_sums, merge_equal_shifts
+from .meter import MeterConfig, MeterWave, gram_sums
 from .paths import Circuit, PhotonState, PipelineError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSum:
     """Photon paths through the first ``stage`` stages, compiled for one layout.
 
     Path p passes the arms ``routes[p]``, from its input arm to its final
     arm ``arms[p]``, with amplitude ``amplitudes[p]``: the input amplitude
-    times the beamsplitter entries along the route. ``incidence[p, k]`` is
-    1 iff the arm of kick k is in ``routes[p]``. Couplings are supplied per
-    evaluation, so one compiled sum serves any batch of coupling vectors.
-    ``circuit`` is the circuit it was compiled from.
+    times the beamsplitter entries along the route. ``kicks`` lists the arm
+    of each coupling column. ``terms[arm]`` holds coefficients (K,) and 0/1
+    rows (K, kicks), row[k] = 1 iff a route crosses kick k's arm: per
+    distinct row of the arm's paths, in order of its first path, their
+    amplitudes summed in path order; exact-zero sums, and arms left empty,
+    are dropped. ``circuit`` is the circuit the sum was compiled from.
     """
 
     routes: tuple[tuple[str, ...], ...]
     amplitudes: tuple[complex, ...]
-    incidence: np.ndarray
+    kicks: tuple[str, ...]
+    terms: dict[str, tuple[np.ndarray, np.ndarray]]
     stage: int
-    circuit: Circuit = field(repr=False, compare=False)
+    circuit: Circuit = field(repr=False)
 
     @classmethod
     def compile(
@@ -106,16 +108,19 @@ class PathSum:
                     if amp != 0:
                         moved.append((route + (out,), amp))
             paths = moved
-        incidence = np.array(
-            [[float(arm in route) for arm in kicks] for route, _ in paths]
-        ).reshape(len(paths), len(kicks))
-        return cls(
-            routes=tuple(route for route, _ in paths),
-            amplitudes=tuple(c for _, c in paths),
-            incidence=incidence,
-            stage=upto,
-            circuit=circuit,
-        )
+        kicks = tuple(kicks)
+        sums: dict[str, dict[tuple[float, ...], complex]] = {}
+        for route, c in paths:
+            by_row = sums.setdefault(route[-1], {})
+            row = tuple(float(arm in route) for arm in kicks)
+            by_row[row] = by_row.get(row, 0j) + c
+        terms = {}
+        for arm, by_row in sums.items():
+            if kept := {row: c for row, c in by_row.items() if c != 0}:
+                rows = np.array(list(kept), dtype=float).reshape(len(kept), len(kicks))
+                terms[arm] = (np.array(list(kept.values()), dtype=complex), rows)
+        routes = tuple(route for route, _ in paths)
+        return cls(routes, tuple(c for _, c in paths), kicks, terms, upto, circuit)
 
     @property
     def arms(self) -> tuple[str, ...]:
@@ -125,38 +130,31 @@ class PathSum:
     def ket(self) -> PhotonState:
         """The photon state the paths reach, pointer left out.
 
-        Per final arm, the amplitudes of its paths summed in path order;
-        arms in order of their first path.
+        The one compiled amplitude of each arm of a kick-free sum, arms in
+        order of their first path; an arm whose paths cancel exactly is
+        absent. A sum with kicks has no photon ket: ValueError.
         """
-        amps: dict[str, complex] = {}
-        for arm, c in zip(self.arms, self.amplitudes):
-            amps[arm] = amps[arm] + c if arm in amps else c
-        return PhotonState(amps)
+        if self.kicks:
+            raise ValueError("only a kick-free sum has a ket: kicks entangle the pointer")
+        return PhotonState({arm: complex(coeffs[0]) for arm, (coeffs, _) in self.terms.items()})
 
     def merged(self, couplings, arms=None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Per final arm: merged amplitudes (K,) and pointer shifts (K, B).
+        """Per final arm: the compiled coefficients (K,) and pointer shifts (K, B).
 
-        ``couplings`` is the batch G, shape (B, number of kicks); path p's
-        shift is G times ``incidence[p]``. The paths of one arm are merged
-        by ``merge_equal_shifts``: paths whose shifts are equal over the
-        whole batch become one term. With ``arms`` given, exactly those arms
-        are returned (no terms if unreached); otherwise every arm that keeps
-        a term, in order of the arm's first path.
+        ``couplings`` is the batch G, shape (B, number of kicks); a term's
+        shifts are its row times G, so the terms and their count are the
+        same for every batch. With ``arms`` given, exactly those arms are
+        returned (no terms if unreached); otherwise every arm of ``terms``.
         """
         g = np.asarray(couplings, dtype=float)
-        n_kicks = self.incidence.shape[1]
+        n_kicks = len(self.kicks)
         if g.ndim != 2 or g.shape[1] != n_kicks:
             raise ValueError(f"couplings must have shape (batch, {n_kicks}), got {g.shape}")
         if not np.isfinite(g).all():
             raise ValueError("couplings must be finite")
-        shifts = self.incidence @ g.T  # (P, B)
-        terms = {}
-        for arm in dict.fromkeys(self.arms if arms is None else arms):
-            paths = [p for p, a in enumerate(self.arms) if a == arm]
-            term = merge_equal_shifts([self.amplitudes[p] for p in paths], shifts[paths])
-            if arms is not None or term[0].size:
-                terms[arm] = term
-        return terms
+        empty = (np.zeros(0, dtype=complex), np.zeros((0, n_kicks)))
+        chosen = self.terms if arms is None else {arm: self.terms.get(arm, empty) for arm in arms}
+        return {arm: (coeffs, rows @ g.T) for arm, (coeffs, rows) in chosen.items()}
 
     def statistics(
         self, couplings, arms, config: MeterConfig
@@ -174,7 +172,7 @@ class PathSum:
     def postselect(self, couplings, detector: str, config: MeterConfig) -> MeterWave:
         """Project onto a detector arm at one coupling vector (one g per kick).
 
-        Returns the detector's merged terms as the un-normalized conditional
+        Returns the detector's terms as the un-normalized conditional
         pointer wave; its ``wave_norm2`` is the detection probability. The
         detector must be live at the sum's stage.
         """

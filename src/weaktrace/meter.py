@@ -25,12 +25,13 @@ exact joint law in O(components) work, whatever n; a signed wave keeps
 per-draw rejection.
 
 A ``MeterWave`` is two arrays, coefficients c_i and shifts a_i, plus its
-``MeterConfig``. ``merge_equal_shifts`` is the one merge rule, here and for
-the joint state in ``evolution``: only exactly equal shifts merge, so two
-branches far closer than the meter width stay two branches; the Gram sums
-and the signed sampler's envelope ratio contain no 1/(a_i - a_j) and stay
-accurate for them. No quantity is ever discretized on a grid and no
-tolerance merges branches; the only error left is double rounding.
+``MeterConfig``, merged on construction by ``merge_equal_shifts`` (a path
+sum in ``evolution`` merges once, by kicks crossed, when compiled): only
+exactly equal shifts merge, so two branches far closer than the meter
+width stay two branches; the Gram sums and the signed sampler's envelope
+ratio contain no 1/(a_i - a_j) and stay accurate for them. No quantity is
+ever discretized on a grid and no tolerance merges branches; the only
+error left is double rounding.
 """
 
 from __future__ import annotations

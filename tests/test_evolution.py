@@ -128,14 +128,41 @@ def test_pipeline_without_attachments_matches_pure_evolution():
 
 
 def test_pipeline_g0_matches_no_attachment():
+    # paths through B and paths that avoid it stay separate terms of the compiled
+    # sum; at g = 0 both sit at shift 0, and the postselected wave merges them
     circuit = build_nested_mzi()
-    with_meter = PathSum.compile(circuit, PhotonState.source(), ["B"]).merged([[0.0]])
-    bare = PathSum.compile(circuit, PhotonState.source(), []).merged([[]])
-    for arm in bare:
-        (cw,), shifts = with_meter[arm]
-        (cb,), _ = bare[arm]
-        assert abs(cw - cb) < 1e-12
-        assert shifts.tolist() == [[0.0]]
+    kicked = PathSum.compile(circuit, PhotonState.source(), ["B"])
+    bare = PathSum.compile(circuit, PhotonState.source(), [])
+    stats = kicked.statistics([[0.0]], DETECTORS, CFG)
+    bare_stats = bare.statistics([[]], DETECTORS, CFG)
+    for det in DETECTORS:
+        wave, bare_wave = kicked.postselect([0.0], det, CFG), bare.postselect([], det, CFG)
+        np.testing.assert_array_equal(wave.coefficients, bare_wave.coefficients)
+        assert wave.shifts.tolist() == bare_wave.shifts.tolist() == [0.0]
+        for got, want in zip(stats[det], bare_stats[det]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_ket_is_the_compiled_kick_free_state():
+    circuit = build_nested_mzi()
+    with pytest.raises(ValueError, match="only a kick-free sum has a ket"):
+        PathSum.compile(circuit, PhotonState.source(), ["B"]).ket()
+    # the B and C paths into the dark arm cancel exactly when the sum is compiled
+    at_bs3 = PathSum.compile(circuit, PhotonState.source(), (), 3)
+    ket = at_bs3.ket()
+    assert "E" in at_bs3.arms
+    assert "E" not in ket.amplitudes
+    assert ket.amplitude("E") == 0
+    assert set(ket.amplitudes) == {"A", "D3"}
+
+
+def test_path_sums_compare_by_identity():
+    # generated __eq__ and __hash__ would reach the term arrays
+    circuit = build_nested_mzi()
+    first, second = (PathSum.compile(circuit, PhotonState.source(), ["B"]) for _ in range(2))
+    assert first == first
+    assert first != second
+    assert len({first, second, first}) == 2
 
 
 def test_two_term_decomposition():
@@ -295,6 +322,8 @@ def test_non_finite_couplings_rejected():
 
 LIVE = [(arm, k) for arm, stages in build_nested_mzi().live.items() for k in stages]
 COUPLING = st.floats(-3.0, 3.0)
+#: couplings that repeat, so that distinct paths of one arm share shifts in some rows
+REPEATED = st.sampled_from((0.0, 0.3, -0.3, 1e-9))
 WIDTH = st.floats(0.05, 5.0)
 
 
@@ -313,16 +342,20 @@ def test_path_sum_batch_properties(layout, delta, mix, phase, data):
                                                                            math.sin(phase))})
     paths = PathSum.compile(build_nested_mzi(), state, layout)
     config = MeterConfig(delta)
-    row = st.lists(COUPLING, min_size=len(layout), max_size=len(layout))
-    couplings = np.array(data.draw(st.lists(row, min_size=1, max_size=5)))
+    entry = st.one_of(REPEATED, COUPLING)
+    row = st.lists(entry, min_size=len(layout), max_size=len(layout))
+    # every distinct row, then repeats of them
+    distinct = data.draw(st.lists(row, min_size=2, max_size=3))
+    couplings = np.array(distinct + data.draw(st.lists(st.sampled_from(distinct), max_size=3)))
     stats = paths.statistics(couplings, DETECTORS, config)
     total = sum(stats[d][0] for d in DETECTORS)
     np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
+    # a row's values do not depend on the batch it is evaluated in, to the bit
     for b in range(len(couplings)):
         single = paths.statistics(couplings[b:b + 1], DETECTORS, config)
         for d in DETECTORS:
-            np.testing.assert_allclose(stats[d][0][b], single[d][0][0], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(stats[d][1][b], single[d][1][0], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(stats[d][0][b], single[d][0][0])
+            np.testing.assert_array_equal(stats[d][1][b], single[d][1][0])
 
 
 @settings(max_examples=200, deadline=None)
