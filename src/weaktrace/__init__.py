@@ -6,6 +6,7 @@ from .paths import (
     ARMS,
     DETECTORS,
     NESTED_MZI,
+    SOURCE,
     BeamSplitter,
     Circuit,
     PhotonState,

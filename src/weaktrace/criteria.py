@@ -38,7 +38,7 @@ from .meter import (
     _readout_moments,
     wave_norm2,
 )
-from .paths import NESTED_MZI, Circuit, PhotonState
+from .paths import NESTED_MZI, SOURCE, Circuit, PhotonState
 
 _DENOM_FLOOR = 1e-15
 
@@ -48,14 +48,6 @@ _MAX_TRIALS = 2**63 - 1
 
 class UndefinedWeakValueError(ValueError):
     """Weak value requested for a pre/post pair with vanishing overlap."""
-
-
-def _default_circuit(circuit: Circuit | None) -> Circuit:
-    return NESTED_MZI if circuit is None else circuit
-
-
-def _default_input(state: PhotonState | None) -> PhotonState:
-    return PhotonState.source() if state is None else state
 
 
 def _coupling_grid(values, noun: str) -> list[float]:
@@ -87,19 +79,17 @@ def _path_weak_value(paths: PathSum, arm: str, detector: str) -> complex:
 
 def weak_value_analytic(
     arm: str,
-    in_state: PhotonState | None = None,
+    in_state: PhotonState = SOURCE,
     detector: str = "D2",
-    circuit: Circuit | None = None,
+    circuit: Circuit = NESTED_MZI,
 ) -> complex:
     """Weak value of the arm projector for the given pre/postselection."""
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
     circuit.live_stages(arm)
     return _path_weak_value(PathSum.compile(circuit, in_state), arm, detector)
 
 
 def tsvf_backward_state(
-    detector: str, stage: int, circuit: Circuit | None = None
+    detector: str, stage: int, circuit: Circuit = NESTED_MZI
 ) -> PhotonState:
     """Backward-evolved ket at ``stage``: |detector> through the adjoint circuit.
 
@@ -109,7 +99,6 @@ def tsvf_backward_state(
     forward ket at the same stage reproduces transition amplitudes without
     ever evolving past the stage.
     """
-    circuit = _default_circuit(circuit)
     circuit.require_detector(detector)
     if not 0 <= stage <= len(circuit):
         raise ValueError(f"stage index {stage} out of range 0..{len(circuit)}")
@@ -119,13 +108,11 @@ def tsvf_backward_state(
 
 def weak_value_tsvf(
     arm: str,
-    in_state: PhotonState | None = None,
+    in_state: PhotonState = SOURCE,
     detector: str = "D2",
-    circuit: Circuit | None = None,
+    circuit: Circuit = NESTED_MZI,
 ) -> complex:
     """Weak value from the two-state pairing <Phi|Pi_arm|Psi> / <Phi|Psi>."""
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
     k = circuit.live_stages(arm).start
     forward = PathSum.compile(circuit, in_state, (), k).ket()
     backward = tsvf_backward_state(detector, k, circuit)
@@ -179,8 +166,8 @@ def weak_value_operational(
     detector: str,
     g_list,
     delta: float,
-    in_state: PhotonState | None = None,
-    circuit: Circuit | None = None,
+    in_state: PhotonState = SOURCE,
+    circuit: Circuit = NESTED_MZI,
 ) -> WeakValueRecord:
     """Pointer-mean readout of the weak value over a decreasing g sweep.
 
@@ -190,8 +177,6 @@ def weak_value_operational(
     smallest couplings.
     """
     g_list = _coupling_grid(g_list, "g sweep")
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
     circuit.require_detector(detector)
     config = MeterConfig(delta)
     paths = PathSum.compile(circuit, in_state, (arm,))
@@ -225,8 +210,8 @@ def monte_carlo_weak_value(
     delta: float,
     n: int,
     seed: int,
-    in_state: PhotonState | None = None,
-    circuit: Circuit | None = None,
+    in_state: PhotonState = SOURCE,
+    circuit: Circuit = NESTED_MZI,
 ) -> MonteCarloEstimate:
     """Simulate the full operational protocol over ``n`` identical trials.
 
@@ -249,8 +234,7 @@ def monte_carlo_weak_value(
         raise ValueError(f"trial count must be in 1..{_MAX_TRIALS}, got {n}")
     if g == 0:
         raise ValueError("the pointer ratio mean/g is undefined at g = 0")
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
+    circuit.require_detector(detector)
     config = MeterConfig(delta)
     wave = PathSum.compile(circuit, in_state, (arm,)).postselect([g], detector, config)
     probability = wave_norm2(wave)
@@ -281,10 +265,10 @@ class MeanValueRecord:
 
 def weak_mean_value(
     arm: str,
-    in_state: PhotonState | None = None,
+    in_state: PhotonState = SOURCE,
     g: float = 0.1,
     delta: float = 1.0,
-    circuit: Circuit | None = None,
+    circuit: Circuit = NESTED_MZI,
 ) -> MeanValueRecord:
     """Unconditional pointer mean of a single meter on ``arm``.
 
@@ -294,8 +278,6 @@ def weak_mean_value(
     """
     if g < 0:
         raise ValueError("coupling strength must be nonnegative")
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
     config = MeterConfig(delta)
     stats = PathSum.compile(circuit, in_state, (arm,)).statistics([[g]], None, config)
     norm2 = sum(float(prob[0]) for prob, _ in stats.values())
@@ -347,8 +329,8 @@ class DiscontinuityReport:
 def discontinuity_report(
     g_grid,
     delta: float,
-    in_state: PhotonState | None = None,
-    circuit: Circuit | None = None,
+    in_state: PhotonState = SOURCE,
+    circuit: Circuit = NESTED_MZI,
 ) -> DiscontinuityReport:
     """Contrast the g -> 0 weak-value limit with the undisturbed setup.
 
@@ -359,8 +341,6 @@ def discontinuity_report(
     limit a at every x > 0 yet is undefined at x = 0.
     """
     g_grid = _coupling_grid(g_grid, "g grid")
-    circuit = _default_circuit(circuit)
-    in_state = _default_input(in_state)
     missing = [arm for arm in ("B", "E") if arm not in circuit.live]
     if "D2" not in circuit.detectors:
         missing.append("D2")

@@ -35,7 +35,7 @@ import numpy as np
 
 from .evolution import PathSum
 from .meter import NORM2_FLOOR, MeterConfig
-from .paths import DETECTORS, NESTED_MZI, Circuit, PhotonState
+from .paths import DETECTORS, NESTED_MZI, SOURCE, Circuit
 
 #: Pooled outer-port pseudo-detector name used in series keys.
 OUTER = "outer"
@@ -130,7 +130,6 @@ class TraceResult:
     """
 
     times: np.ndarray
-    sample_rate: float
     series: dict[str, np.ndarray]
     spectra: dict[str, tuple[np.ndarray, np.ndarray]]
     floor: float
@@ -186,7 +185,7 @@ def simulate_traces(
     duration: float,
     sample_rate: float,
     delta: float,
-    circuit: Circuit | None = None,
+    circuit: Circuit = NESTED_MZI,
 ) -> TraceResult:
     """Quasi-static run of the vibrating-mirror setup.
 
@@ -196,12 +195,8 @@ def simulate_traces(
     and conditional pointer mean, plus the pooled outer-port pair of series.
     One rfft per series gives its power spectrum and, for the conditional
     means, each mirror's line 2|X[k]|/n; all spectra are range-checked before any bin.
-    The circuit must have the detectors of ``DETECTORS``; ValueError otherwise.
+    A circuit without the detectors of ``DETECTORS`` raises ValueError.
     """
-    circuit = NESTED_MZI if circuit is None else circuit
-    if not set(DETECTORS) <= set(circuit.detectors):
-        raise ValueError(f"the traces need detectors {DETECTORS}; "
-                         f"the circuit has {circuit.detectors}")
     mirrors = schedule.mirrors
     if mirrors and sample_rate <= 2.0 * max(m.frequency for m in mirrors):
         raise ValueError("sample rate violates Nyquist for the fastest enabled mirror")
@@ -213,7 +208,7 @@ def simulate_traces(
         raise ValueError("duration * sample_rate must be an integer of at least 16")
     times = np.arange(n) / sample_rate
     config = MeterConfig(delta)
-    paths = PathSum.compile(circuit, PhotonState.source(), [m.arm for m in mirrors])
+    paths = PathSum.compile(circuit, SOURCE, [m.arm for m in mirrors])
     couplings = np.array(
         [m.amplitude * np.sin(2.0 * np.pi * m.frequency * times) for m in mirrors]
     ).reshape(len(mirrors), n).T
@@ -255,4 +250,4 @@ def simulate_traces(
     for key, transform in transforms.items():
         amps = {name: 2.0 * abs(transform[k]) / n for name, k in bins.items()}
         lines[key] = {name: amp for name, amp in amps.items() if amp > floor}
-    return TraceResult(times, sample_rate, series, spectra, floor, lines)
+    return TraceResult(times, series, spectra, floor, lines)

@@ -29,8 +29,10 @@ supplied with the couplings.
 The compiled ``PathSum`` is the only joint-state representation: its
 terms per arm are the joint state, ``statistics`` reads
 probabilities and pointer moments from them, and ``postselect`` keeps one
-detector's terms at one coupling vector as the un-normalized conditional
-``MeterWave``.
+arm's terms at one coupling vector as the un-normalized conditional
+``MeterWave``. Every evaluation passes through ``merged``, the one check
+of the requested arms: each must be live at the sum's stage, so an arm
+that does not exist there raises instead of reading as empty.
 """
 
 from __future__ import annotations
@@ -145,7 +147,11 @@ class PathSum:
         shifts are its row times G, so the terms and their count are the
         same for every batch. With ``arms`` given, exactly those arms are
         returned (no terms if unreached); otherwise every arm of ``terms``.
+        Each given arm must be live at the sum's stage; ValueError otherwise.
         """
+        for arm in arms or ():
+            if self.stage not in self.circuit.live_stages(arm):
+                raise ValueError(f"arm {arm} is not live at stage {self.stage}")
         g = np.asarray(couplings, dtype=float)
         n_kicks = len(self.kicks)
         if g.ndim != 2 or g.shape[1] != n_kicks:
@@ -163,23 +169,21 @@ class PathSum:
 
         The moment is the probability times the conditional pointer mean
         <Q> given the photon is in that arm, for a pointer of ``config``.
+        ``arms`` is as for ``merged``: None for every arm with terms.
         """
         return {
             arm: gram_sums(coeffs, shifts, config.delta)
             for arm, (coeffs, shifts) in self.merged(couplings, arms).items()
         }
 
-    def postselect(self, couplings, detector: str, config: MeterConfig) -> MeterWave:
-        """Project onto a detector arm at one coupling vector (one g per kick).
+    def postselect(self, couplings, arm: str, config: MeterConfig) -> MeterWave:
+        """Project onto an arm live at the sum's stage, at one coupling vector.
 
-        Returns the detector's terms as the un-normalized conditional
-        pointer wave; its ``wave_norm2`` is the detection probability. The
-        detector must be live at the sum's stage.
+        Returns the arm's terms as the un-normalized conditional pointer
+        wave; its ``wave_norm2`` is the arm's probability. At the full
+        stage the live arms are exactly the circuit's detectors.
         """
-        self.circuit.require_detector(detector)
-        if self.stage not in self.circuit.live[detector]:
-            raise ValueError(f"detector {detector} is not live after stage {self.stage}")
-        coeffs, shifts = self.merged([couplings], (detector,))[detector]
+        coeffs, shifts = self.merged([couplings], (arm,))[arm]
         return MeterWave(coeffs, shifts[:, 0], config)
 
 
@@ -195,10 +199,8 @@ def arm_occupation(
     """Probability of finding the photon in ``arm`` after ``stage`` stages.
 
     ``couplings`` holds one g per kick. The pointer is marginalized; exact
-    at any coupling strength.
+    at any coupling strength. The arm must be live at ``stage``.
     """
-    if stage not in circuit.live_stages(arm):
-        raise ValueError(f"arm {arm} is not live at stage {stage}")
     paths = PathSum.compile(circuit, input_state, kicks, upto=stage)
     prob, _ = paths.statistics([couplings], (arm,), config)[arm]
     return float(prob[0])

@@ -23,13 +23,14 @@ A ``Circuit``'s ``adjoint`` is its inverse: the stages in reverse order,
 each with its input and output ports swapped and the transfer replaced by
 its conjugate transpose (the inverse of a beamsplitter mesh is the
 reversed mesh of adjoints, Reck et al., PRL 73, 58 (1994)). It is built on
-first use and kept. ``NESTED_MZI`` is the nested interferometer, built once
-at import and shared by every default; each stage holds a read-only copy
-of its transfer, so the shared circuit cannot be changed.
+first use and kept. ``NESTED_MZI`` and the source photon ``SOURCE`` are
+built once at import and shared by every default; stages and states hold
+read-only copies of their transfers and amplitudes, so neither can change.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -59,13 +60,19 @@ def _check_arm(arm: str) -> str:
 
 @dataclass(frozen=True)
 class PhotonState:
-    """Complex amplitude per arm; absent labels carry amplitude zero."""
+    """Finite complex amplitude per arm, kept read-only; absent labels carry zero."""
 
-    amplitudes: dict[str, complex]
+    amplitudes: MappingProxyType[str, complex]
 
     def __post_init__(self) -> None:
-        for arm in self.amplitudes:
+        for arm, c in self.amplitudes.items():
             _check_arm(arm)
+            if not cmath.isfinite(c):
+                raise ValueError(f"amplitude on arm {arm} must be finite, got {c!r}")
+        object.__setattr__(self, "amplitudes", MappingProxyType(dict(self.amplitudes)))
+
+    def __reduce__(self):
+        return type(self), (dict(self.amplitudes),)
 
     @classmethod
     def basis(cls, arm: str) -> "PhotonState":
@@ -196,3 +203,6 @@ def build_nested_mzi() -> Circuit:
 
 #: The nested interferometer, built once and shared; its transfers are read-only.
 NESTED_MZI = build_nested_mzi()
+
+#: The source photon |N>, built once and shared; its amplitudes are read-only.
+SOURCE = PhotonState.source()

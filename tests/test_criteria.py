@@ -85,7 +85,8 @@ def test_weak_value_random_preselection(mix, phase, arm, detector):
 
 def test_weak_value_unknown_labels():
     # E is not an arm of the two-stage circuit
-    for arm, detector, circuit in (("Q", "D2", None), ("B", "Q", None), ("E", "D1", TWO_STAGE)):
+    for arm, detector, circuit in (("Q", "D2", NESTED_MZI), ("B", "Q", NESTED_MZI),
+                                   ("E", "D1", TWO_STAGE)):
         with pytest.raises(ValueError):
             weak_value_analytic(arm, detector=detector, circuit=circuit)
 

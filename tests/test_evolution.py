@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaktrace import (
+    ARMS,
     DETECTORS,
+    NESTED_MZI,
+    SOURCE,
+    BeamSplitter,
     Circuit,
     MeterConfig,
     PathSum,
@@ -382,3 +386,56 @@ def test_occupation_sum_rules(layout, delta, mix, phase, data):
         total = sum(arm_occupation(circuit, state, layout, g_row, MeterConfig(delta), arm, k)
                     for arm in live)
         assert abs(total - 1.0) < 1e-12
+
+
+#: a plain two-stage interferometer: every arm of the nested one but N, N0,
+#: B, C, D1 and D2 is absent from it
+TWO_STAGE = Circuit((
+    BeamSplitter(1, ("N", "N0"), ("C", "B"), NESTED_MZI.stages[0].transfer),
+    BeamSplitter(2, ("B", "C"), ("D1", "D2"), NESTED_MZI.stages[0].transfer),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=st.sampled_from((NESTED_MZI, TWO_STAGE)), arm=st.sampled_from(ARMS + ("Q",)),
+       mix=st.floats(0.0, math.pi / 2), data=st.data())
+def test_arm_contract(circuit, arm, mix, data):
+    # every evaluation rejects an arm that is unknown, absent or not live at
+    # the sum's stage, and reads a live arm alike through each entry point
+    stage = data.draw(st.integers(0, len(circuit)))
+    kicks = data.draw(st.lists(st.sampled_from(tuple(circuit.live)), max_size=3))
+    g_row = [data.draw(COUPLING) for _ in kicks]
+    state = PhotonState({"N": math.cos(mix), "N0": math.sin(mix)})
+    paths = PathSum.compile(circuit, state, kicks, upto=stage)
+    calls = (
+        lambda: paths.statistics([g_row], (arm,), CFG),
+        lambda: paths.merged([g_row], (arm,)),
+        lambda: paths.postselect(g_row, arm, CFG),
+        lambda: arm_occupation(circuit, state, kicks, g_row, CFG, arm, stage),
+    )
+    if arm not in circuit.live or stage not in circuit.live[arm]:
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+        return
+    (prob,), _ = paths.statistics([g_row], (arm,), CFG)[arm]
+    assert arm_occupation(circuit, state, kicks, g_row, CFG, arm, stage) == prob
+    coeffs, shifts = paths.merged([g_row], (arm,))[arm]
+    wave_prob = wave_norm2(paths.postselect(g_row, arm, CFG))
+    if len(set((shifts[:, 0] + 0.0).tolist())) == len(coeffs):
+        assert wave_prob == prob  # the wave keeps the compiled terms as they are
+    else:  # the wave merges terms of equal shift, summing them in another order
+        assert abs(wave_prob - prob) <= 1e-15
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=st.floats(1e-12, 1e3))
+def test_dark_arm_is_empty_only_at_zero_coupling(g):
+    # E after BS3 is exactly empty at g = 0; at every g > 0 the B meter's two
+    # E terms, one through B and one through C, both survive
+    paths = PathSum.compile(NESTED_MZI, SOURCE, ["B"], upto=3)
+    assert paths.postselect([0.0], "E", CFG).coefficients.size == 0
+    assert paths.statistics([[0.0]], ("E",), CFG)["E"][0].tolist() == [0.0]
+    wave = paths.postselect([g], "E", CFG)
+    assert wave.coefficients.size == 2
+    assert wave_norm2(wave) > 0.0

@@ -1,10 +1,15 @@
 """Path-space checks: circuit construction, checkpoints, unitarity."""
 
+import copy
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 from weaktrace import (
     ARMS,
+    SOURCE,
     BeamSplitter,
     Circuit,
     PathSum,
@@ -158,3 +163,26 @@ def test_invalid_constructions_rejected():
     cycle = BeamSplitter(9, ("D", "A"), ("N", "E"), np.eye(2))
     with pytest.raises(ValueError):
         Circuit((b[0], cycle))  # N consumed by BS1, then produced again
+
+
+@pytest.mark.parametrize(
+    "bad", (math.nan, math.inf, complex(0.0, math.nan), complex(1.0, -math.inf))
+)
+def test_non_finite_amplitude_rejected(bad):
+    # a NaN preparation would otherwise give NaN weak values and pointer ratios
+    with pytest.raises(ValueError, match="finite"):
+        PhotonState({"N": 1.0, "N0": bad})
+
+
+def test_shared_source_is_read_only():
+    with pytest.raises(TypeError):
+        SOURCE.amplitudes["N"] = 2
+    own = {"N": 0.6, "N0": 0.8j}
+    state = PhotonState(own)
+    own["N"] = 2.0  # the caller's dict stays writable and is not the state's
+    assert state.amplitude("N") == 0.6
+    for twin in (pickle.loads(pickle.dumps(state)), copy.deepcopy(state)):
+        assert twin == state
+        with pytest.raises(TypeError):
+            twin.amplitudes["N"] = 2
+    assert SOURCE == PhotonState.source()
